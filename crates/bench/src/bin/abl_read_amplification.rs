@@ -33,7 +33,7 @@ fn run(system: System, bits_per_key: usize, ops: u64, seed: u64) -> (f64, u64) {
     ldc_workload::run_measured(&spec, &mut adapter, &clock).unwrap();
     let misses_after = adapter.db().block_cache_counters().misses;
     let blocks = misses_after - misses_before;
-    let slices = adapter.db().engine_ref().version().total_slice_links() as u64;
+    let slices = adapter.db().engine().version().total_slice_links() as u64;
     (blocks as f64 / ops as f64, slices)
 }
 

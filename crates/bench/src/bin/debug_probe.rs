@@ -46,7 +46,7 @@ fn main() {
                 worst_at = i;
             }
             if i % 500 == 0 {
-                let v = adapter.db().engine_ref().version();
+                let v = adapter.db().engine().version();
                 let m = v
                     .levels
                     .iter()
@@ -58,7 +58,7 @@ fn main() {
             }
         }
         let stats1 = adapter.db().stats();
-        let v = adapter.db().engine_ref().version();
+        let v = adapter.db().engine().version();
         println!(
             "{}: worst op latency {:.1} ms at op {} | stalls {} ({:.1} ms) slowdowns {} | \
              flushes {} merges {} links {} ldc_merges {} trivial {} | max slices/file seen {} | \

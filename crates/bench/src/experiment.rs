@@ -200,10 +200,10 @@ pub fn run_experiment(config: &StoreConfig, spec: &WorkloadSpec) -> ExperimentRe
         db_stats: adapter.db().stats(),
         space_bytes: adapter.db().space_bytes(),
         level_bytes: {
-            let v = adapter.db().engine_ref().version();
+            let v = adapter.db().engine().version();
             (0..v.num_levels()).map(|l| v.level_bytes(l)).sum()
         },
-        frozen_bytes: adapter.db().engine_ref().version().frozen_bytes(),
+        frozen_bytes: adapter.db().engine().version().frozen_bytes(),
         block_reads: misses_after - misses_before,
         time_breakdown,
         events: sink

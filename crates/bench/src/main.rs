@@ -523,8 +523,7 @@ fn run_read_while_writing(
     let open = |udc: bool, bg: usize| -> Result<LdcDb, String> {
         let mut b = LdcDb::builder()
             .options(paper_scaled_options())
-            .background_workers(bg)
-            .max_subcompactions(4);
+            .background_workers(bg);
         if udc {
             b = b.udc_baseline();
         }
@@ -669,8 +668,7 @@ fn run_backlog_mode(
 ) -> Result<BacklogResult, String> {
     let mut b = LdcDb::builder()
         .options(paper_scaled_options())
-        .background_workers(workers)
-        .max_subcompactions(4);
+        .background_workers(workers);
     if udc {
         b = b.udc_baseline();
     }
@@ -693,7 +691,7 @@ fn run_backlog_mode(
             .map_err(|e| format!("{mode} burst: {e}"))?;
     }
     let burst_wall_secs = t0.elapsed().as_secs_f64();
-    let backlog_l0_files = db.engine_ref().version().levels[0].len();
+    let backlog_l0_files = db.engine().version().levels[0].len();
 
     // Drain while foreground readers measure what the backlog costs them.
     let stop = AtomicBool::new(false);
@@ -767,8 +765,7 @@ fn backlog_det_json(udc: bool, args: &CommonArgs) -> Result<String, String> {
     let mode = if udc { "UDC" } else { "LDC" };
     let mut b = LdcDb::builder()
         .options(paper_scaled_options())
-        .background_workers(0)
-        .max_subcompactions(4);
+        .background_workers(0);
     if udc {
         b = b.udc_baseline();
     }
@@ -786,7 +783,7 @@ fn backlog_det_json(udc: bool, args: &CommonArgs) -> Result<String, String> {
         db.put(&codec.key(idx), &codec.value(idx, 1 + i / preload))
             .map_err(|e| format!("{mode} det burst: {e}"))?;
     }
-    let backlog_l0_files = db.engine_ref().version().levels[0].len();
+    let backlog_l0_files = db.engine().version().levels[0].len();
     let drain_virtual_nanos = db.drain_background();
     let stats = db.stats();
     Ok(format!(

@@ -407,7 +407,7 @@ impl ChaosHarness {
                 model.len()
             ));
         }
-        db.engine_ref()
+        db.engine()
             .version()
             .check_invariants()
             .map_err(|e| format!("version invariants violated: {e}"))?;
@@ -1113,7 +1113,7 @@ impl ChaosHarness {
                     in_flight = Some((key, value));
                     // Fail-stop: the background error must latch and
                     // refuse further writes.
-                    if db.engine_ref().background_error().is_none() {
+                    if db.engine().background_error().is_none() {
                         return Err(self.fail(
                             &fault,
                             "write failed but no background error latched".to_string(),
@@ -1383,7 +1383,7 @@ impl ChaosHarness {
                 ));
             }
         }
-        db.engine_ref()
+        db.engine()
             .version()
             .check_invariants()
             .map_err(|e| self.fail(&fault, format!("post-repair invariants violated: {e}")))?;

@@ -88,13 +88,6 @@ impl LdcDbBuilder {
         self
     }
 
-    /// Upper bound on range-partitioned subcompactions per picked merge
-    /// when running on the worker pool (`1` disables splitting).
-    pub fn max_subcompactions(mut self, n: usize) -> Self {
-        self.options.max_subcompactions = n;
-        self
-    }
-
     /// Selects the compaction mechanism.
     pub fn mode(mut self, mode: CompactionMode) -> Self {
         self.mode = mode;
@@ -506,11 +499,6 @@ impl LdcDb {
     /// Access to the underlying engine (experiments, tests). The engine
     /// API is `&self` throughout, so shared access suffices.
     pub fn engine(&self) -> &Db {
-        &self.inner
-    }
-
-    /// Read-only access to the underlying engine.
-    pub fn engine_ref(&self) -> &Db {
         &self.inner
     }
 }

@@ -107,7 +107,7 @@ fn readers_vs_writer_under_compaction(db: LdcDb) {
         let (k, v) = fresh_kv(i);
         assert_eq!(db.get(&k).unwrap(), Some(v), "fresh key {i} lost");
     }
-    db.engine_ref().version().check_invariants().unwrap();
+    db.engine().version().check_invariants().unwrap();
 }
 
 #[test]

@@ -41,7 +41,7 @@ fn ldc_store_serves_reads_after_heavy_writes() {
         let (k, v) = kv(i);
         assert_eq!(db.get(&k).unwrap(), Some(v), "key {i} lost");
     }
-    db.engine_ref().version().check_invariants().unwrap();
+    db.engine().version().check_invariants().unwrap();
 }
 
 #[test]
@@ -51,7 +51,7 @@ fn frozen_region_appears_and_drains() {
     for i in 0..8000u64 {
         let (k, v) = kv(i);
         db.put(&k, &v).unwrap();
-        if db.engine_ref().version().frozen_files() > 0 {
+        if db.engine().version().frozen_files() > 0 {
             saw_frozen = true;
         }
     }
@@ -59,7 +59,7 @@ fn frozen_region_appears_and_drains() {
     let stats = db.stats();
     // Every link freezes one file; merges reclaim them once drained.
     assert!(stats.ldc_merges > 0);
-    let v = db.engine_ref().version();
+    let v = db.engine().version();
     // All remaining frozen files are still referenced.
     for frozen in v.frozen.values() {
         assert!(frozen.refcount > 0, "unreferenced frozen file survived");
@@ -150,7 +150,7 @@ fn ldc_state_survives_reopen() {
             let (k, v) = kv(i);
             db.put(&k, &v).unwrap();
         }
-        let v = db.engine_ref().version();
+        let v = db.engine().version();
         assert!(
             v.frozen_files() > 0 || v.total_slice_links() > 0 || db.stats().ldc_merges > 0,
             "test needs live LDC state to be meaningful"
@@ -161,7 +161,7 @@ fn ldc_state_survives_reopen() {
         .storage(storage)
         .build()
         .unwrap();
-    db.engine_ref().version().check_invariants().unwrap();
+    db.engine().version().check_invariants().unwrap();
     for i in (0..n).step_by(173) {
         let (k, v) = kv(i);
         assert_eq!(db.get(&k).unwrap(), Some(v), "key {i} after reopen");
@@ -171,7 +171,7 @@ fn ldc_state_survives_reopen() {
         let (k, v) = kv(i);
         db.put(&k, &v).unwrap();
     }
-    db.engine_ref().version().check_invariants().unwrap();
+    db.engine().version().check_invariants().unwrap();
 }
 
 #[test]

@@ -120,8 +120,8 @@ fn metrics_registry_tracks_levels_and_latencies() {
     assert!(metrics.latency(OpType::Put).mean() > 0.0);
 
     let gauges = metrics.level_gauges();
-    assert_eq!(gauges.len(), db.engine_ref().options().max_levels);
-    let version = db.engine_ref().version();
+    assert_eq!(gauges.len(), db.engine().options().max_levels);
+    let version = db.engine().version();
     for (level, g) in gauges.iter().enumerate() {
         assert_eq!(
             g.files,

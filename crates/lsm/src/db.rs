@@ -17,6 +17,12 @@
 //! plus however much compaction work it had to wait for. Throughput is
 //! `ops / virtual seconds`.
 //!
+//! Each flush or compaction is one job: *plan* under the core lock
+//! (`plan_job`), *run* without it (`run_job`), *install* under it again
+//! (`install_job`). The inline pump runs the three
+//! steps on the caller; with `Options::background_workers >= 1` a worker
+//! pool runs them instead (see `crate::scheduler`).
+//!
 //! ## Concurrency model
 //!
 //! Every public operation takes `&self`. Mutable engine state lives in one
@@ -77,7 +83,9 @@ use crate::iterator::{InternalIterator, MergingIterator};
 use crate::memtable::{LookupResult, MemTable};
 use crate::options::{CorruptionPolicy, Options};
 use crate::retry::RetryStorage;
-use crate::scheduler::{CompactionScheduler, MergeUnitSpec, SubBatch, SubUnit, UnitOutput};
+use crate::scheduler::{
+    CompactionScheduler, MergeUnitSpec, SubBatch, SubUnit, UnitOutput, MAX_SUBCOMPACTIONS,
+};
 use crate::table::{Table, TableBuilder};
 use crate::types::{
     encode_internal_key, parse_trailer, user_key, KeyRange, SequenceNumber, ValueType,
@@ -220,17 +228,6 @@ struct TaskDescriptor {
     input_bytes: u64,
 }
 
-/// Scratch the merge/write helpers fill while one flush or compaction
-/// task runs, so [`Db::execute`] can attribute output size and phase
-/// time to the event it emits. Reset at the start of every task.
-#[derive(Debug, Clone, Copy, Default)]
-struct ExecTrace {
-    output_files: u32,
-    output_bytes: u64,
-    /// Virtual time spent writing output tables (Table 1's write phase).
-    write_nanos: Nanos,
-}
-
 /// The state a read operation pins at entry: `Arc`s to the version and
 /// memtables current at some commit boundary, plus the sequence number
 /// published with them. Cloning is a few refcount bumps; everything
@@ -262,8 +259,6 @@ struct DbCore {
     /// Live snapshots: sequence -> handle count. Compaction never drops a
     /// version the oldest live snapshot could observe.
     snapshots: std::collections::BTreeMap<SequenceNumber, usize>,
-    /// Per-task scratch for event phase attribution.
-    trace: ExecTrace,
     /// First background/storage failure. Once set, further writes are
     /// refused: a failed WAL or manifest append leaves the log's record
     /// framing in an unknown state, and writing past it would corrupt it.
@@ -531,7 +526,6 @@ impl Db {
                     wal,
                     stats: DbStats::default(),
                     snapshots: std::collections::BTreeMap::new(),
-                    trace: ExecTrace::default(),
                     bg_error: None,
                     quarantined: Vec::new(),
                     pending_deletes: Vec::new(),
@@ -557,7 +551,8 @@ impl Db {
             if replayed > 0 {
                 let full =
                     std::mem::replace(&mut core.mem, Arc::new(MemTable::new(db.options.seed)));
-                db.flush_table(&mut core, &full, Some(new_log_number))?;
+                core.imm = Some(full);
+                db.flush_imm(&mut core, Some(new_log_number))?;
             } else {
                 core.versions.log_and_apply(VersionEdit {
                     log_number: Some(new_log_number),
@@ -1473,16 +1468,7 @@ impl Db {
                 // in-flight flush (releasing the core) before proceeding.
                 if core.imm.is_none() {
                     let new_log_number = core.versions.new_file_number();
-                    let old_log = core.wal.name().to_string();
-                    core.wal = LogWriter::new(
-                        Arc::clone(&self.storage),
-                        log_file_name(new_log_number),
-                        IoClass::WalWrite,
-                    );
-                    let seed = self.options.seed ^ core.versions.next_file_number;
-                    let full = std::mem::replace(&mut core.mem, Arc::new(MemTable::new(seed)));
-                    core.imm = Some(full);
-                    core.imm_wal_to_delete = Some(old_log);
+                    self.rotate_memtable(core, new_log_number);
                 }
                 self.scheduler_signal();
                 return Ok(());
@@ -1520,16 +1506,7 @@ impl Db {
                 }
             }
             let new_log_number = core.versions.new_file_number();
-            let old_log = core.wal.name().to_string();
-            core.wal = LogWriter::new(
-                Arc::clone(&self.storage),
-                log_file_name(new_log_number),
-                IoClass::WalWrite,
-            );
-            let seed = self.options.seed ^ core.versions.next_file_number;
-            let full = std::mem::replace(&mut core.mem, Arc::new(MemTable::new(seed)));
-            core.imm = Some(full);
-            core.imm_wal_to_delete = Some(old_log);
+            self.rotate_memtable(core, new_log_number);
             self.pump_background(core)?; // start the flush if the lane is idle
         }
         Ok(())
@@ -1537,60 +1514,68 @@ impl Db {
 }
 
 impl Db {
-    /// One scheduling step of the simulated background thread.
+    /// One scheduling step of the simulated background thread, running the
+    /// background pipeline inline.
     ///
-    /// If the lane is idle, starts the next unit of work — the pending
-    /// memtable flush first, otherwise one policy-picked compaction task.
-    /// The work executes immediately (so all state changes are visible to
-    /// subsequent reads, like a real background thread's results would be
-    /// once installed), but its virtual time is booked on the lane: the
-    /// clock is rewound and `bg_until` extended. Foreground requests feel
-    /// it only through the write gates and read contention.
+    /// If the lane is idle, plans the next job — the pending memtable flush
+    /// first, otherwise one policy-picked compaction — and runs and
+    /// installs it right here. The state change is visible to subsequent
+    /// reads, like a real background thread's result once installed, but
+    /// its virtual time is booked on the lane: the clock is rewound and
+    /// `bg_until` extended. Foreground requests feel it only through the
+    /// write gates and read contention. A failure is latched (or its
+    /// corrupt input quarantined) and returned.
     fn pump_background(&self, core: &mut DbCore) -> Result<()> {
-        let now = self.device.clock().now();
-        if self.bg_until.load(Ordering::SeqCst) > now {
+        if let Some(e) = &core.bg_error {
+            return Err(e.clone());
+        }
+        let t0 = self.device.clock().now();
+        if self.bg_until.load(Ordering::SeqCst) > t0 {
             return Ok(()); // lane busy
         }
-        let t0 = now;
-        if let Some(imm) = core.imm.take() {
-            let wal = core.imm_wal_to_delete.take();
-            self.flush_table(core, &imm, None)?;
-            if let Some(wal) = wal {
-                if self.storage.exists(&wal) {
-                    self.storage.delete(&wal)?;
-                }
-            }
-        } else {
-            let task = {
-                let ctx = PickContext {
-                    version: &core.versions.current,
-                    options: &self.options,
-                    compact_pointers: &core.versions.compact_pointers,
-                };
-                self.policy.lock().pick(&ctx)
-            };
-            match task {
-                Some(task) => {
-                    if let Err(e) = self.execute(core, task) {
-                        match e {
-                            // A compaction input turned out to be corrupt.
-                            // Under the quarantine policy, set the file
-                            // aside and let the policy re-plan on the next
-                            // pump against the surviving version; partial
-                            // outputs are orphaned on disk and reclaimed by
-                            // `repair_db`.
-                            Error::Corruption(ref info) if self.try_quarantine(core, info)? => {}
-                            e => return Err(e),
-                        }
-                    }
-                }
-                None => return Ok(()), // nothing to do
-            }
-        }
+        let job = match self.plan_job(core) {
+            Ok(Some(job)) => job,
+            Ok(None) => return Ok(()), // nothing to do
+            Err(e) => return self.latch_or_quarantine(core, e),
+        };
+        self.run_inline(core, job)?;
         let t1 = self.device.clock().now();
         self.device.clock().rewind_to(t0);
-        self.bg_until.store(t0 + (t1 - t0), Ordering::SeqCst);
+        self.bg_until.store(t1, Ordering::SeqCst);
         Ok(())
+    }
+
+    /// Runs a planned job's run and install steps on the calling thread,
+    /// which holds the core guard throughout, so output file numbers come
+    /// straight from it.
+    fn run_inline(&self, core: &mut DbCore, job: BgJob) -> Result<()> {
+        let outs = self.run_job(&job, &mut || core.versions.new_file_number());
+        self.finish_job(core, job, outs)
+    }
+
+    /// Flushes `core.imm`, if any, on the calling thread, recording
+    /// `log_number` in the flush's edit.
+    fn flush_imm(&self, core: &mut DbCore, log_number: Option<u64>) -> Result<()> {
+        match self.plan_flush(core, log_number) {
+            Some(job) => self.run_inline(core, job),
+            None => Ok(()),
+        }
+    }
+
+    /// Switches writes to a fresh WAL `new_log_number` and an empty
+    /// memtable, parking the full memtable in the `imm` slot with its WAL
+    /// queued for deletion once the flush installs.
+    fn rotate_memtable(&self, core: &mut DbCore, new_log_number: u64) {
+        let old_log = core.wal.name().to_string();
+        core.wal = LogWriter::new(
+            Arc::clone(&self.storage),
+            log_file_name(new_log_number),
+            IoClass::WalWrite,
+        );
+        let seed = self.options.seed ^ core.versions.next_file_number;
+        let full = std::mem::replace(&mut core.mem, Arc::new(MemTable::new(seed)));
+        core.imm = Some(full);
+        core.imm_wal_to_delete = Some(old_log);
     }
 
     /// Physically deletes table files dropped from the version, once no
@@ -1839,9 +1824,9 @@ impl Db {
         core
     }
 
-    /// Waits out an in-flight worker flush job so the caller can run the
-    /// inline flush path while holding the core continuously (no worker
-    /// can claim `imm` without the core lock). No-op in inline mode.
+    /// Waits out an in-flight worker flush job so the caller can flush on
+    /// its own thread while holding the core continuously (no worker can
+    /// claim `imm` without the core lock). No-op in inline mode.
     fn wait_flush_job<'a>(&self, mut core: MutexGuard<'a, DbCore>) -> MutexGuard<'a, DbCore> {
         if !self.scheduler.active() {
             return core;
@@ -1926,494 +1911,55 @@ impl Db {
         }
     }
 
-    /// Plan one job under the core lock, then run and install it.
+    /// A worker's pass over the background pipeline: plan one job under the
+    /// core lock, run it with no engine lock held, install it under the
+    /// core lock again, then publish and reap at this boundary.
+    /// Metadata-only jobs (trivial move, link) have an empty run step and
+    /// install before the core is released, so their edit is computed
+    /// against the version it commits to.
     fn run_one_job(&self) {
         let job = {
             let mut core = self.core.lock();
             if core.bg_error.is_some() {
                 return;
             }
-            self.plan_job(&mut core)
-        };
-        match job {
-            Some(BgJob::Flush { imm, wal }) => self.run_flush_job(imm, wal),
-            Some(BgJob::Compact {
-                job,
-                t0,
-                desc,
-                inputs,
-                plan,
-            }) => self.run_compact_job(job, t0, desc, inputs, plan),
-            None => {}
-        }
-    }
-
-    /// Claims the next unit of work. Flush has priority (mirroring the
-    /// inline pump); metadata-only tasks (trivial move, link) execute
-    /// right here under the core lock; merges are claimed with conflict
-    /// tracking and returned for the lock-free run phase.
-    fn plan_job(&self, core: &mut DbCore) -> Option<BgJob> {
-        if let Some(imm) = core.imm.as_ref() {
-            let mut st = self.scheduler.state.lock();
-            if !st.flush_inflight {
-                st.flush_inflight = true;
-                st.policy_idle = false;
-                return Some(BgJob::Flush {
-                    imm: Arc::clone(imm),
-                    wal: core.imm_wal_to_delete.clone(),
-                });
-            }
-        }
-        let gen = {
-            let st = self.scheduler.state.lock();
-            st.completed
-        };
-        let task = {
-            let ctx = PickContext {
-                version: &core.versions.current,
-                options: &self.options,
-                compact_pointers: &core.versions.compact_pointers,
+            let job = match self.plan_job(&mut core) {
+                Ok(Some(job)) => job,
+                Ok(None) => return,
+                Err(e) => {
+                    // ldc-lint: allow(must_use_result) — latched into bg_error; a worker has no caller to report to
+                    let _ = self.latch_or_quarantine(&mut core, e);
+                    self.complete_job(&core, None, &[], false);
+                    return;
+                }
             };
-            self.policy.lock().pick(&ctx)
-        };
-        let Some(task) = task else {
-            {
-                let mut st = self.scheduler.state.lock();
-                // Only latch idle if no job installed since the pick —
-                // an install changes the version the policy judged.
-                if st.completed == gen {
-                    st.policy_idle = true;
-                }
-            }
-            // Stalled writers re-check `policy_idle` under the core lock
-            // (which we hold), so this wake cannot be lost.
-            self.scheduler.done_cv.notify_all();
-            return None;
-        };
-        let desc = if self.sink.enabled() {
-            Some(self.describe_task(&core.versions.current, &task))
-        } else {
-            None
-        };
-        let t0 = self.device.clock().now();
-        let smallest_snapshot = snapshot_floor(core);
-        match task {
-            CompactionTask::TrivialMove { level, file } | CompactionTask::Link { level, file } => {
-                // Stale pick (input vanished via quarantine) — drop it.
-                if core.versions.current.find_file(file).map(|(l, _)| l) != Some(level) {
-                    return None;
-                }
-                let conflict = {
-                    let st = self.scheduler.state.lock();
-                    // Coarse but safe: a move/link rewires metadata at
-                    // `level`/`level+1`; defer while any job claims
-                    // ranges there (its outputs could interleave).
-                    st.inflight_inputs.contains(&file)
-                        || st
-                            .claims
-                            .iter()
-                            .any(|c| c.level == level || c.level == level + 1)
-                };
-                if conflict {
-                    return None;
-                }
-                if let Err(e) = self.execute(core, task) {
-                    self.fail_planned(core, e);
-                } else {
-                    self.publish_view(core);
-                    if let Err(e) = self.reap_pending_deletes(core) {
-                        if core.bg_error.is_none() {
-                            core.bg_error = Some(e);
-                        }
-                    }
-                    self.complete_job(core, None, &[], false);
-                }
-                None
-            }
-            CompactionTask::Merge {
-                level,
-                upper,
-                lower,
-            } => {
-                let upper_m = resolve_metas(core, &upper)?;
-                let lower_m = resolve_metas(core, &lower)?;
-                if upper_m.iter().chain(&lower_m).any(|m| !m.slices.is_empty()) {
-                    return None; // slice-carrying files merge via LdcMerge
-                }
-                let inputs: Vec<u64> = upper.iter().chain(&lower).copied().collect();
-                let (lo, hi) = key_span(upper_m.iter().chain(&lower_m))?;
-                let ranges = vec![(level, lo.clone(), hi.clone()), (level + 1, lo, hi)];
-                let job = {
-                    let mut st = self.scheduler.state.lock();
-                    if st.conflicts(&inputs, &ranges) {
-                        return None;
-                    }
-                    st.policy_idle = false;
-                    st.claim(&inputs, ranges)
-                };
-                let spec = Arc::new(MergeUnitSpec {
-                    inputs: inputs.clone(),
-                    drop_tombstones: level + 1 == self.options.max_levels - 1,
-                    split_outputs: true,
-                    smallest_snapshot,
-                });
-                Some(BgJob::Compact {
-                    job,
-                    t0,
-                    desc,
-                    inputs,
-                    plan: PlannedCompaction::Merge {
-                        level,
-                        upper: upper_m,
-                        lower: lower_m,
-                        spec,
-                    },
-                })
-            }
-            CompactionTask::LdcMerge { level, file } => {
-                let meta = match core.versions.current.find_file(file) {
-                    Some((l, m)) if l == level && !m.slices.is_empty() => m.clone(),
-                    _ => return None, // stale pick
-                };
-                let mut inputs: Vec<u64> = vec![file];
-                inputs.extend(meta.slices.iter().map(|s| s.source_file));
-                inputs.sort_unstable();
-                inputs.dedup();
-                // Outputs replace `file` within its responsible range, so
-                // claiming the file's own span excludes same-level writers;
-                // shared frozen sources are excluded via `inputs`.
-                let ranges = vec![(
-                    level,
-                    meta.smallest_ukey().to_vec(),
-                    meta.largest_ukey().to_vec(),
-                )];
-                let job = {
-                    let mut st = self.scheduler.state.lock();
-                    if st.conflicts(&inputs, &ranges) {
-                        return None;
-                    }
-                    st.policy_idle = false;
-                    st.claim(&inputs, ranges)
-                };
-                Some(BgJob::Compact {
-                    job,
-                    t0,
-                    desc,
-                    inputs,
-                    plan: PlannedCompaction::Ldc {
-                        level,
-                        meta,
-                        drop_tombstones: level == self.options.max_levels - 1,
-                        smallest_snapshot,
-                    },
-                })
-            }
-            CompactionTask::TieredMerge { files } => {
-                let metas = resolve_metas(core, &files)?;
-                if metas.iter().any(|m| !m.slices.is_empty()) {
-                    return None;
-                }
-                let (lo, hi) = key_span(metas.iter())?;
-                let ranges = vec![(0usize, lo, hi)];
-                let job = {
-                    let mut st = self.scheduler.state.lock();
-                    if st.conflicts(&files, &ranges) {
-                        return None;
-                    }
-                    st.policy_idle = false;
-                    st.claim(&files, ranges)
-                };
-                let spec = Arc::new(MergeUnitSpec {
-                    inputs: files.clone(),
-                    drop_tombstones: false,
-                    split_outputs: false,
-                    smallest_snapshot,
-                });
-                Some(BgJob::Compact {
-                    job,
-                    t0,
-                    desc,
-                    inputs: files,
-                    plan: PlannedCompaction::Tiered { metas, spec },
-                })
-            }
-        }
-    }
-
-    /// Flush job: build and stream the L0 table with no engine lock held,
-    /// then install under the core lock.
-    fn run_flush_job(&self, imm: Arc<MemTable>, wal: Option<String>) {
-        let t0 = self.device.clock().now();
-        let input_bytes = imm.approximate_bytes() as u64;
-        let built = (|| -> Result<(FileMeta, Nanos)> {
-            let mut builder = TableBuilder::new(
-                self.options.block_bytes,
-                self.options.block_restart_interval,
-                self.options.bloom_bits_per_key,
-            );
-            let mut it = imm.iter();
-            it.seek_to_first();
-            while it.valid() {
-                builder.add(it.key(), it.value());
-                it.next();
-            }
-            // The iterator pins the memtable's list lock (rank 90); release
-            // it before taking core (rank 60) for the file number.
-            drop(it);
-            let finished = builder.finish();
-            let number = self.core.lock().versions.new_file_number();
-            let w0 = self.device.clock().now();
-            self.write_table_chunked(
-                &table_file_name(number),
-                &finished.bytes,
-                IoClass::FlushWrite,
-            )?;
-            Ok((
-                FileMeta {
-                    number,
-                    size: finished.bytes.len() as u64,
-                    smallest: finished.smallest,
-                    largest: finished.largest,
-                    slices: Vec::new(),
-                },
-                self.device.clock().now().saturating_sub(w0),
-            ))
-        })();
-        let (meta, write_nanos) = match built {
-            Ok(b) => b,
-            Err(e) => {
-                self.fail_job(e, None, &[], true);
+            if job.work.is_metadata() {
+                self.install_on_worker(&mut core, job, Ok(Vec::new()));
                 return;
             }
+            job
         };
-        let mut core = self.core.lock();
-        let installed = (|| -> Result<()> {
-            core.versions.log_and_apply(VersionEdit {
-                new_files: vec![(0, meta.clone())],
-                ..Default::default()
-            })?;
-            core.imm = None;
-            core.imm_wal_to_delete = None;
-            core.stats.flushes += 1;
-            if let Some(wal) = &wal {
-                if self.storage.exists(wal) {
-                    self.storage.delete(wal)?;
-                }
-            }
-            Ok(())
-        })();
-        if let Err(e) = installed {
+        let outs = self.run_job(&job, &mut || self.locked_file_number());
+        self.install_on_worker(&mut self.core.lock(), job, outs);
+    }
+
+    /// A worker run step's file-number allocator: a brief core lock per
+    /// output table.
+    fn locked_file_number(&self) -> u64 {
+        self.core.lock().versions.new_file_number()
+    }
+
+    /// A worker's install boundary: finish the job, then publish the new
+    /// view and reap the files it dropped.
+    fn install_on_worker(&self, core: &mut DbCore, job: BgJob, outs: Result<Vec<UnitOutput>>) {
+        // ldc-lint: allow(must_use_result) — latched into bg_error; a worker has no caller to report to
+        let _ = self.finish_job(core, job, outs);
+        self.publish_view(core);
+        if let Err(e) = self.reap_pending_deletes(core) {
             if core.bg_error.is_none() {
                 core.bg_error = Some(e);
             }
-        } else {
-            self.publish_view(&core);
-            if let Err(e) = self.reap_pending_deletes(&mut core) {
-                if core.bg_error.is_none() {
-                    core.bg_error = Some(e);
-                }
-            }
-            self.refresh_level_gauges(&core.versions.current);
-            if self.sink.enabled() {
-                let end = self.device.clock().now();
-                let mut ev = Event::span(EventKind::Flush, t0, end)
-                    .files(0, 1)
-                    .bytes(input_bytes, meta.size)
-                    .phases(0, 0, write_nanos);
-                ev.output_level = Some(0);
-                self.sink.record(ev);
-            }
         }
-        self.complete_job(&core, None, &[], true);
-    }
-
-    /// Run phase + install for a claimed compaction job.
-    fn run_compact_job(
-        &self,
-        job: u64,
-        t0: Nanos,
-        desc: Option<TaskDescriptor>,
-        inputs: Vec<u64>,
-        plan: PlannedCompaction,
-    ) {
-        let result: Result<(Vec<UnitOutput>, CompactInstall)> = match plan {
-            PlannedCompaction::Merge {
-                level,
-                upper,
-                lower,
-                spec,
-            } => {
-                let ranges = split_merge_ranges(&upper, &lower, self.options.max_subcompactions);
-                self.run_split_merge(&spec, ranges).map(|outs| {
-                    (
-                        outs,
-                        CompactInstall::Merge {
-                            level,
-                            upper,
-                            lower,
-                        },
-                    )
-                })
-            }
-            PlannedCompaction::Ldc {
-                level,
-                meta,
-                drop_tombstones,
-                smallest_snapshot,
-            } => self
-                .run_ldc_merge(&meta, drop_tombstones, smallest_snapshot)
-                .map(|out| (vec![out], CompactInstall::Ldc { level, meta })),
-            PlannedCompaction::Tiered { metas, spec } => self
-                .run_merge_unit(&spec, None)
-                .map(|out| (vec![out], CompactInstall::Tiered { metas })),
-        };
-        match result {
-            Ok((outs, install)) => self.install_compaction(job, t0, desc, &inputs, outs, install),
-            Err(e) => self.fail_job(e, Some(job), &inputs, false),
-        }
-    }
-
-    /// Installs a finished compaction as one atomic `VersionEdit`. If an
-    /// input vanished mid-run (quarantine), the job aborts and its outputs
-    /// stay as orphans for `repair_db`.
-    fn install_compaction(
-        &self,
-        job: u64,
-        t0: Nanos,
-        desc: Option<TaskDescriptor>,
-        inputs: &[u64],
-        outs: Vec<UnitOutput>,
-        install: CompactInstall,
-    ) {
-        let mut core = self.core.lock();
-        let live = |core: &DbCore, n: u64| core.versions.current.find_file(n).is_some();
-        let mut edit = VersionEdit::default();
-        let mut dropped: Vec<u64> = Vec::new();
-        let mut stat: Option<&'static str> = None;
-        let ok = match &install {
-            CompactInstall::Merge {
-                level,
-                upper,
-                lower,
-            } => {
-                if upper.iter().chain(lower).all(|m| live(&core, m.number)) {
-                    for m in upper {
-                        edit.deleted_files.push((*level as u32, m.number));
-                    }
-                    for m in lower {
-                        edit.deleted_files.push(((*level + 1) as u32, m.number));
-                    }
-                    for u in &outs {
-                        for m in &u.metas {
-                            edit.new_files.push(((*level + 1) as u32, m.clone()));
-                        }
-                    }
-                    if *level >= 1 {
-                        if let Some(hi) = upper.iter().map(|m| m.largest_ukey().to_vec()).max() {
-                            edit.compact_pointers.push((*level as u32, hi));
-                        }
-                    }
-                    dropped.extend(upper.iter().chain(lower).map(|m| m.number));
-                    stat = Some("merges");
-                    true
-                } else {
-                    false
-                }
-            }
-            CompactInstall::Ldc { level, meta } => {
-                if live(&core, meta.number) {
-                    edit.deleted_files.push((*level as u32, meta.number));
-                    for u in &outs {
-                        for m in &u.metas {
-                            edit.new_files.push((*level as u32, m.clone()));
-                        }
-                    }
-                    // Reference counting against the refcounts current at
-                    // install time (Algorithm 1, lines 18-22).
-                    let mut remaining: HashMap<u64, u32> = HashMap::new();
-                    for (number, frozen) in &core.versions.current.frozen {
-                        remaining.insert(*number, frozen.refcount);
-                    }
-                    let mut reclaimed: Vec<u64> = Vec::new();
-                    for slice in &meta.slices {
-                        if let Some(count) = remaining.get_mut(&slice.source_file) {
-                            *count = count.saturating_sub(1);
-                            if *count == 0 {
-                                reclaimed.push(slice.source_file);
-                            }
-                        }
-                    }
-                    reclaimed.sort_unstable();
-                    reclaimed.dedup();
-                    edit.deleted_frozen.clone_from(&reclaimed);
-                    dropped.push(meta.number);
-                    dropped.extend(reclaimed);
-                    stat = Some("ldc_merges");
-                    true
-                } else {
-                    false
-                }
-            }
-            CompactInstall::Tiered { metas } => {
-                if metas.iter().all(|m| live(&core, m.number)) {
-                    for m in metas {
-                        edit.deleted_files.push((0, m.number));
-                    }
-                    for u in &outs {
-                        for m in &u.metas {
-                            edit.new_files.push((0, m.clone()));
-                        }
-                    }
-                    dropped.extend(metas.iter().map(|m| m.number));
-                    stat = Some("merges");
-                    true
-                } else {
-                    false
-                }
-            }
-        };
-        if ok {
-            match core.versions.log_and_apply(edit) {
-                Ok(()) => {
-                    for n in dropped {
-                        self.drop_table_file(&mut core, n);
-                    }
-                    match stat {
-                        Some("ldc_merges") => core.stats.ldc_merges += 1,
-                        _ => core.stats.merges += 1,
-                    }
-                    self.publish_view(&core);
-                    if let Err(e) = self.reap_pending_deletes(&mut core) {
-                        if core.bg_error.is_none() {
-                            core.bg_error = Some(e);
-                        }
-                    }
-                    self.refresh_level_gauges(&core.versions.current);
-                    if let Some(desc) = desc {
-                        let end = self.device.clock().now();
-                        let elapsed = end.saturating_sub(t0);
-                        let write: u64 =
-                            outs.iter().map(|u| u.write_nanos).sum::<u64>().min(elapsed);
-                        let (files, bytes) = outs.iter().fold((0u32, 0u64), |(f, b), u| {
-                            (f + u.output_files, b + u.output_bytes)
-                        });
-                        self.sink.record(
-                            Event::span(desc.kind, t0, end)
-                                .levels(desc.level, desc.output_level)
-                                .files(desc.input_files, files)
-                                .bytes(desc.input_bytes, bytes)
-                                .phases(elapsed - write, 0, write),
-                        );
-                    }
-                }
-                Err(e) => {
-                    if core.bg_error.is_none() {
-                        core.bg_error = Some(e);
-                    }
-                }
-            }
-        }
-        self.complete_job(&core, Some(job), inputs, false);
     }
 
     /// Runs a split merge: queue units 1.. for idle workers (when the
@@ -2424,11 +1970,12 @@ impl Db {
         &self,
         spec: &Arc<MergeUnitSpec>,
         ranges: Vec<Option<KeyRange>>,
+        next_number: &mut dyn FnMut() -> u64,
     ) -> Result<Vec<UnitOutput>> {
         let k = ranges.len();
         let first = ranges.first().and_then(|r| r.as_ref());
         if k == 1 {
-            return Ok(vec![self.run_merge_unit(spec, first)?]);
+            return Ok(vec![self.run_merge_unit(spec, first, next_number)?]);
         }
         let queued = {
             let mut st = self.scheduler.state.lock();
@@ -2454,39 +2001,38 @@ impl Db {
             // Another split merge holds the slot; run sequentially.
             let mut outs = Vec::with_capacity(k);
             for r in &ranges {
-                outs.push(self.run_merge_unit(spec, r.as_ref())?);
+                outs.push(self.run_merge_unit(spec, r.as_ref(), next_number)?);
             }
             return Ok(outs);
         }
-        let r0 = self.run_merge_unit(spec, first);
-        let mut st = self.scheduler.state.lock();
-        if let Some(b) = st.sub.as_mut() {
-            b.remaining -= 1;
-            b.results.push((0, r0));
-        }
+        let r0 = self.run_merge_unit(spec, first, next_number);
+        self.post_unit(0, r0);
         loop {
-            if st.sub.as_ref().is_none_or(|b| b.remaining == 0) {
-                break;
-            }
-            if let Some(u) = st.subqueue.pop_front() {
-                drop(st);
-                let r = self.run_merge_unit(spec, u.range.as_ref());
-                st = self.scheduler.state.lock();
-                if let Some(b) = st.sub.as_mut() {
-                    b.remaining -= 1;
-                    b.results.push((u.idx, r));
+            let next = {
+                let mut st = self.scheduler.state.lock();
+                loop {
+                    if st.sub.as_ref().is_none_or(|b| b.remaining == 0) {
+                        break None;
+                    }
+                    if let Some(u) = st.subqueue.pop_front() {
+                        break Some(u);
+                    }
+                    st = st.wait(&self.scheduler.subs_cv);
                 }
-            } else {
-                st = st.wait(&self.scheduler.subs_cv);
-            }
+            };
+            let Some(u) = next else { break };
+            let r = self.run_merge_unit(spec, u.range.as_ref(), next_number);
+            self.post_unit(u.idx, r);
         }
-        let Some(batch) = st.sub.take() else {
-            drop(st);
+        let batch = {
+            let mut st = self.scheduler.state.lock();
+            st.sub.take()
+        };
+        let Some(batch) = batch else {
             return Err(Error::InvalidState(
                 "split-merge batch vanished before its coordinator collected it".to_string(),
             ));
         };
-        drop(st);
         let mut results = batch.results;
         results.sort_by_key(|(i, _)| *i);
         let mut outs = Vec::with_capacity(k);
@@ -2499,95 +2045,37 @@ impl Db {
     /// Executes one queued subcompaction unit and posts its result to the
     /// coordinator.
     fn run_queued_unit(&self, unit: SubUnit, spec: &Arc<MergeUnitSpec>) {
-        let r = self.run_merge_unit(spec, unit.range.as_ref());
+        let r = self.run_merge_unit(spec, unit.range.as_ref(), &mut || self.locked_file_number());
+        self.post_unit(unit.idx, r);
+    }
+
+    /// Posts subcompaction unit `idx`'s result to the active split merge
+    /// and wakes its coordinator.
+    fn post_unit(&self, idx: usize, result: Result<UnitOutput>) {
         let mut st = self.scheduler.state.lock();
         if let Some(b) = st.sub.as_mut() {
             b.remaining -= 1;
-            b.results.push((unit.idx, r));
+            b.results.push((idx, result));
         }
         self.scheduler.subs_cv.notify_all();
     }
 
-    /// One subcompaction unit: merge the job's inputs restricted to
-    /// `range` (None = everything) into output tables.
-    fn run_merge_unit(&self, spec: &MergeUnitSpec, range: Option<&KeyRange>) -> Result<UnitOutput> {
-        let mut inputs: Vec<Box<dyn InternalIterator>> = Vec::new();
-        for &n in &spec.inputs {
-            let table = self.table(n)?;
-            match range {
-                Some(r) => inputs.push(Box::new(
-                    table.range_iter(r.clone(), IoClass::CompactionRead),
-                )),
-                None => inputs.push(Box::new(table.iter(IoClass::CompactionRead))),
-            }
-        }
-        self.merge_stream_detached(
-            inputs,
-            spec.drop_tombstones,
-            spec.split_outputs,
-            spec.smallest_snapshot,
-        )
-    }
-
-    /// The LDC merge run phase (file + its slices; never split — each
-    /// LdcMerge already covers exactly one responsible range).
-    fn run_ldc_merge(
-        &self,
-        meta: &FileMeta,
-        drop_tombstones: bool,
-        smallest_snapshot: SequenceNumber,
-    ) -> Result<UnitOutput> {
-        let mut inputs: Vec<Box<dyn InternalIterator>> = Vec::new();
-        let table = self.table(meta.number)?;
-        inputs.push(Box::new(table.iter(IoClass::CompactionRead)));
-        for slice in &meta.slices {
-            let frozen = self.table(slice.source_file)?;
-            inputs.push(Box::new(
-                frozen.range_iter(slice.range.clone(), IoClass::CompactionRead),
-            ));
-        }
-        self.merge_stream_detached(inputs, drop_tombstones, true, smallest_snapshot)
-    }
-
-    /// Job failure: quarantine a corrupt input when the policy allows
-    /// (the policy then re-plans against the surviving version), latch
-    /// `bg_error` otherwise, and release the job's claims either way.
-    fn fail_job(&self, err: Error, job: Option<u64>, inputs: &[u64], flush: bool) {
-        let mut core = self.core.lock();
-        self.latch_or_quarantine(&mut core, err);
-        self.publish_view(&core);
-        self.complete_job(&core, job, inputs, flush);
-    }
-
-    /// Like [`Db::fail_job`] for errors hit while still holding the core
-    /// during planning (metadata-only tasks).
-    fn fail_planned(&self, core: &mut DbCore, err: Error) {
-        self.latch_or_quarantine(core, err);
-        self.publish_view(core);
-        self.complete_job(core, None, &[], false);
-    }
-
-    fn latch_or_quarantine(&self, core: &mut DbCore, err: Error) {
-        match err {
-            Error::Corruption(ref info) => match self.try_quarantine(core, info) {
-                Ok(true) => {}
-                Ok(false) => {
-                    if core.bg_error.is_none() {
-                        core.bg_error = Some(err.clone());
-                    }
-                }
-                Err(e2) => {
-                    if core.bg_error.is_none() {
-                        core.bg_error = Some(e2);
-                    }
-                }
+    /// Quarantines the corrupt table behind `err` when the corruption
+    /// policy allows it (`Ok`); otherwise latches `err` — or the
+    /// quarantine's own failure — as the background error and returns it.
+    fn latch_or_quarantine(&self, core: &mut DbCore, err: Error) -> Result<()> {
+        let err = match &err {
+            Error::Corruption(info) => match self.try_quarantine(core, info) {
+                Ok(true) => return Ok(()),
+                Ok(false) => err,
+                Err(e2) => e2,
             },
-            e => {
-                if core.bg_error.is_none() {
-                    core.bg_error = Some(e);
-                }
-            }
+            _ => err,
+        };
+        if core.bg_error.is_none() {
+            core.bg_error = Some(err.clone());
         }
+        Err(err)
     }
 
     /// Completion bookkeeping: release claims, bump `completed`, re-arm
@@ -2610,35 +2098,6 @@ impl Db {
             self.scheduler.work_cv.notify_all();
         }
         self.scheduler.done_cv.notify_all();
-    }
-
-    /// Streams a sealed table out in bounded `append` chunks followed by
-    /// one `sync`, instead of a single monolithic `write_file`. Each
-    /// chunk holds the storage map's write lock only briefly, so
-    /// concurrent foreground reads interleave with flush/compaction
-    /// output — the pipelined write stage of a background job, and the
-    /// main reason worker mode improves the foreground read tail. Only
-    /// used off the foreground thread: the inline path keeps its single
-    /// atomic write so deterministic runs stay byte-identical. The file
-    /// is garbage until the final sync *and* the version edit that links
-    /// it; a torn prefix is an orphan, reclaimed by `repair_db`.
-    fn write_table_chunked(&self, name: &str, bytes: &[u8], class: IoClass) -> Result<()> {
-        const CHUNK: usize = 256 << 10;
-        // A crashed predecessor may have left an orphan at a re-allocated
-        // number; appending to it would interleave two tables.
-        if self.storage.exists(name) {
-            self.storage.delete(name)?;
-        }
-        for chunk in bytes.chunks(CHUNK) {
-            self.storage.append(name, chunk, class)?;
-            // Hand the CPU to any foreground thread parked on the storage
-            // lock (or starved for a core) between chunks: on oversubscribed
-            // hosts the reader tail is bounded by how long a worker runs
-            // uninterrupted, not by the chunk size alone.
-            std::thread::yield_now();
-        }
-        self.storage.sync(name)?;
-        Ok(())
     }
 
     /// Pins the current state for repeatable reads. The snapshot must be
@@ -3057,17 +2516,10 @@ impl Db {
 
     /// Flushes the pending immutable memtable (if any), then rotates the
     /// WAL and flushes the active memtable — the write path's rotation
-    /// sequence, without parking the memtable in the `imm` slot.
+    /// sequence, run to completion on the caller, with the new WAL number
+    /// recorded by the flush's own edit.
     fn flush_all(&self, core: &mut DbCore) -> Result<()> {
-        if let Some(imm) = core.imm.take() {
-            let wal = core.imm_wal_to_delete.take();
-            self.flush_table(core, &imm, None)?;
-            if let Some(wal) = wal {
-                if self.storage.exists(&wal) {
-                    self.storage.delete(&wal)?;
-                }
-            }
-        }
+        self.flush_imm(core, None)?;
         if core.mem.is_empty() {
             return Ok(());
         }
@@ -3075,19 +2527,8 @@ impl Db {
         while self.storage.exists(&log_file_name(new_log_number)) {
             new_log_number = core.versions.new_file_number();
         }
-        let old_log = core.wal.name().to_string();
-        core.wal = LogWriter::new(
-            Arc::clone(&self.storage),
-            log_file_name(new_log_number),
-            IoClass::WalWrite,
-        );
-        let seed = self.options.seed ^ core.versions.next_file_number;
-        let full = std::mem::replace(&mut core.mem, Arc::new(MemTable::new(seed)));
-        self.flush_table(core, &full, Some(new_log_number))?;
-        if old_log != log_file_name(new_log_number) && self.storage.exists(&old_log) {
-            self.storage.delete(&old_log)?;
-        }
-        Ok(())
+        self.rotate_memtable(core, new_log_number);
+        self.flush_imm(core, Some(new_log_number))
     }
 
     /// Creates online checkpoint `name`: a crash-consistent image of the
@@ -3281,118 +2722,649 @@ fn candidate_file(version: &Version, level: usize, key: &[u8]) -> Option<FileMet
 
 impl Db {
     // ------------------------------------------------------------------
-    // Flush & compaction execution
+    // Background jobs: plan → run → install
     // ------------------------------------------------------------------
+    //
+    // Every flush and compaction is one job with three steps, whoever runs
+    // it: the inline pump (`pump_background`, plus explicit flushes and the
+    // recovery flush at open) or a pool worker (`run_one_job`).
 
-    /// Writes the memtable out as a Level-0 SSTable and records `log_number`
-    /// as the new WAL.
-    fn flush_table(
+    /// Claims the pending immutable-memtable flush unless a worker already
+    /// owns it. The memtable stays in `core.imm`, visible to readers, until
+    /// the install; `log_number` (explicit flushes and recovery) is
+    /// recorded by the install's edit.
+    fn plan_flush(&self, core: &DbCore, log_number: Option<u64>) -> Option<BgJob> {
+        let mem = Arc::clone(core.imm.as_ref()?);
+        {
+            let mut st = self.scheduler.state.lock();
+            if st.flush_inflight {
+                return None;
+            }
+            st.flush_inflight = true;
+            st.policy_idle = false;
+        }
+        Some(self.new_job(None, Vec::new(), None, Planned::Flush { mem, log_number }))
+    }
+
+    /// The plan step, under the core lock: claims the next job. The pending
+    /// flush has priority; otherwise the policy picks one compaction, whose
+    /// inputs and key ranges are claimed against running jobs (a
+    /// conflicting pick is dropped and re-picked after the next install).
+    /// A pick the current version contradicts is a policy bug and fails.
+    fn plan_job(&self, core: &mut DbCore) -> Result<Option<BgJob>> {
+        if let Some(job) = self.plan_flush(core, None) {
+            return Ok(Some(job));
+        }
+        let gen = {
+            let st = self.scheduler.state.lock();
+            st.completed
+        };
+        let task = {
+            let ctx = PickContext {
+                version: &core.versions.current,
+                options: &self.options,
+                compact_pointers: &core.versions.compact_pointers,
+            };
+            self.policy.lock().pick(&ctx)
+        };
+        let Some(task) = task else {
+            {
+                let mut st = self.scheduler.state.lock();
+                // Only latch idle if no job installed since the pick —
+                // an install changes the version the policy judged.
+                if st.completed == gen {
+                    st.policy_idle = true;
+                }
+            }
+            // Stalled writers re-check `policy_idle` under the core lock
+            // (which we hold), so this wake cannot be lost.
+            self.scheduler.done_cv.notify_all();
+            return Ok(None);
+        };
+        // Input descriptors must be captured before the job consumes the
+        // files they describe.
+        let desc = if self.sink.enabled() {
+            Some(self.describe_task(&core.versions.current, &task))
+        } else {
+            None
+        };
+        let smallest_snapshot = snapshot_floor(core);
+        let (work, inputs, ranges) = match task {
+            CompactionTask::TrivialMove { level, file } | CompactionTask::Link { level, file } => {
+                let meta = plain_input(core, file, level)?;
+                let conflict = {
+                    let st = self.scheduler.state.lock();
+                    // Coarse but safe: a move/link rewires metadata at
+                    // `level`/`level+1`; defer while any job claims
+                    // ranges there (its outputs could interleave).
+                    st.inflight_inputs.contains(&file)
+                        || st
+                            .claims
+                            .iter()
+                            .any(|c| c.level == level || c.level == level + 1)
+                };
+                if conflict {
+                    return Ok(None);
+                }
+                let work = if matches!(task, CompactionTask::Link { .. }) {
+                    Planned::Link { level, meta }
+                } else {
+                    Planned::TrivialMove { level, meta }
+                };
+                (work, Vec::new(), None)
+            }
+            CompactionTask::Merge {
+                level,
+                upper,
+                lower,
+            } => {
+                let upper = plain_inputs(core, &upper, level)?;
+                let lower = plain_inputs(core, &lower, level + 1)?;
+                let Some((lo, hi)) = key_span(upper.iter().chain(&lower)) else {
+                    return Ok(None);
+                };
+                let inputs: Vec<u64> = upper.iter().chain(&lower).map(|m| m.number).collect();
+                let spec = Arc::new(MergeUnitSpec {
+                    inputs: inputs.clone(),
+                    drop_tombstones: level + 1 == self.options.max_levels - 1,
+                    split_outputs: true,
+                    smallest_snapshot,
+                });
+                let ranges = vec![(level, lo.clone(), hi.clone()), (level + 1, lo, hi)];
+                (
+                    Planned::Merge {
+                        level,
+                        upper,
+                        lower,
+                        spec,
+                    },
+                    inputs,
+                    Some(ranges),
+                )
+            }
+            CompactionTask::LdcMerge { level, file } => {
+                let meta = match core.versions.current.find_file(file) {
+                    Some((l, m)) if l == level => m.clone(),
+                    found => {
+                        return Err(Error::InvalidState(format!(
+                            "ldc-merge of file {file}: expected level {level}, found {:?}",
+                            found.map(|(l, _)| l)
+                        )))
+                    }
+                };
+                if meta.slices.is_empty() {
+                    return Err(Error::InvalidState(format!(
+                        "ldc-merge of file {file} with no slices"
+                    )));
+                }
+                let mut inputs: Vec<u64> = vec![file];
+                inputs.extend(meta.slices.iter().map(|s| s.source_file));
+                inputs.sort_unstable();
+                inputs.dedup();
+                // Outputs replace `file` within its responsible range, so
+                // claiming the file's own span excludes same-level writers;
+                // shared frozen sources are excluded via `inputs`.
+                let ranges = vec![(
+                    level,
+                    meta.smallest_ukey().to_vec(),
+                    meta.largest_ukey().to_vec(),
+                )];
+                (
+                    Planned::Ldc {
+                        level,
+                        meta,
+                        drop_tombstones: level == self.options.max_levels - 1,
+                        smallest_snapshot,
+                    },
+                    inputs,
+                    Some(ranges),
+                )
+            }
+            CompactionTask::TieredMerge { files } => {
+                let metas = plain_inputs(core, &files, 0)?;
+                let Some((lo, hi)) = key_span(metas.iter()) else {
+                    return Ok(None);
+                };
+                // No tombstone dropping (deeper levels may hold older
+                // versions) and no output splitting (tiers grow).
+                let spec = Arc::new(MergeUnitSpec {
+                    inputs: files.clone(),
+                    drop_tombstones: false,
+                    split_outputs: false,
+                    smallest_snapshot,
+                });
+                (
+                    Planned::Tiered { metas, spec },
+                    files,
+                    Some(vec![(0, lo, hi)]),
+                )
+            }
+        };
+        let claim = match ranges {
+            Some(ranges) => {
+                let mut st = self.scheduler.state.lock();
+                if st.conflicts(&inputs, &ranges) {
+                    return Ok(None);
+                }
+                st.policy_idle = false;
+                Some(st.claim(&inputs, ranges))
+            }
+            None => None,
+        };
+        Ok(Some(self.new_job(claim, inputs, desc, work)))
+    }
+
+    /// Stamps a planned job with its start: the virtual time and the
+    /// file-system ledger reading its event span and `CompactionWork`
+    /// share are measured from.
+    fn new_job(
         &self,
-        core: &mut DbCore,
+        claim: Option<u64>,
+        inputs: Vec<u64>,
+        desc: Option<TaskDescriptor>,
+        work: Planned,
+    ) -> BgJob {
+        BgJob {
+            claim,
+            inputs,
+            t0: self.device.clock().now(),
+            fs_before: self.device.ledger().get(TimeCategory::FileSystem),
+            desc,
+            work,
+        }
+    }
+
+    /// The run step, with no engine lock held (an inline caller holds the
+    /// core guard, but the step only draws file numbers from it): build the
+    /// L0 table, or merge the inputs into output tables. Merges split into
+    /// subcompactions only while the worker pool runs — unit cuts move
+    /// output file boundaries, so inline runs always merge unsplit.
+    fn run_job(
+        &self,
+        job: &BgJob,
+        next_number: &mut dyn FnMut() -> u64,
+    ) -> Result<Vec<UnitOutput>> {
+        Ok(match &job.work {
+            Planned::Flush { mem, .. } => vec![self.run_flush(mem, next_number)?],
+            Planned::TrivialMove { .. } | Planned::Link { .. } => Vec::new(),
+            Planned::Merge {
+                upper, lower, spec, ..
+            } => {
+                let max = if self.scheduler.active() {
+                    MAX_SUBCOMPACTIONS
+                } else {
+                    1
+                };
+                self.run_split_merge(spec, split_merge_ranges(upper, lower, max), next_number)?
+            }
+            Planned::Ldc {
+                meta,
+                drop_tombstones,
+                smallest_snapshot,
+                ..
+            } => {
+                vec![self.run_ldc_merge(meta, *drop_tombstones, *smallest_snapshot, next_number)?]
+            }
+            Planned::Tiered { spec, .. } => vec![self.run_merge_unit(spec, None, next_number)?],
+        })
+    }
+
+    /// Builds the Level-0 table for a flush — the one place a memtable
+    /// becomes an SSTable.
+    fn run_flush(
+        &self,
         mem: &MemTable,
-        log_number: Option<u64>,
-    ) -> Result<()> {
-        let t0 = self.device.clock().now();
-        let fs_before = self.device.ledger().get(TimeCategory::FileSystem);
-        if !mem.is_empty() {
-            let input_bytes = mem.approximate_bytes() as u64;
-            let number = core.versions.new_file_number();
-            let mut builder = TableBuilder::new(
-                self.options.block_bytes,
-                self.options.block_restart_interval,
-                self.options.bloom_bits_per_key,
-            );
+        next_number: &mut dyn FnMut() -> u64,
+    ) -> Result<UnitOutput> {
+        if mem.is_empty() {
+            return Err(Error::InvalidState(
+                "flush of an empty memtable".to_string(),
+            ));
+        }
+        let mut builder = TableBuilder::new(
+            self.options.block_bytes,
+            self.options.block_restart_interval,
+            self.options.bloom_bits_per_key,
+        );
+        {
+            // The iterator pins the memtable's list lock (rank 90); it must
+            // end before a worker's allocator takes core (rank 60).
             let mut it = mem.iter();
             it.seek_to_first();
             while it.valid() {
                 builder.add(it.key(), it.value());
                 it.next();
             }
-            let finished = builder.finish();
-            let write_start = self.device.clock().now();
-            self.storage.write_file(
-                &table_file_name(number),
-                &finished.bytes,
-                IoClass::FlushWrite,
-            )?;
-            let write_nanos = self.device.clock().now() - write_start;
-            let output_bytes = finished.bytes.len() as u64;
-            let meta = FileMeta {
-                number,
-                size: output_bytes,
-                smallest: finished.smallest,
-                largest: finished.largest,
-                slices: Vec::new(),
-            };
-            core.versions.log_and_apply(VersionEdit {
-                log_number,
-                new_files: vec![(0, meta)],
-                ..Default::default()
-            })?;
-            core.stats.flushes += 1;
-            if self.sink.enabled() {
-                let end = self.device.clock().now();
-                let mut ev = Event::span(EventKind::Flush, t0, end)
-                    .files(0, 1)
-                    .bytes(input_bytes, output_bytes)
-                    .phases(0, 0, write_nanos);
-                ev.output_level = Some(0);
-                self.sink.record(ev);
-            }
-            self.refresh_level_gauges(&core.versions.current);
-        } else if log_number.is_some() {
-            core.versions.log_and_apply(VersionEdit {
-                log_number,
-                ..Default::default()
-            })?;
         }
-        self.record_compaction_time(t0, fs_before);
+        let mut out = UnitOutput::default();
+        self.emit_table(&mut out, builder.finish(), IoClass::FlushWrite, next_number)?;
+        Ok(out)
+    }
+
+    /// One subcompaction unit: merge the job's inputs restricted to
+    /// `range` (None = everything) into output tables.
+    fn run_merge_unit(
+        &self,
+        spec: &MergeUnitSpec,
+        range: Option<&KeyRange>,
+        next_number: &mut dyn FnMut() -> u64,
+    ) -> Result<UnitOutput> {
+        let mut inputs: Vec<Box<dyn InternalIterator>> = Vec::new();
+        for &n in &spec.inputs {
+            let table = self.table(n)?;
+            match range {
+                Some(r) => inputs.push(Box::new(
+                    table.range_iter(r.clone(), IoClass::CompactionRead),
+                )),
+                None => inputs.push(Box::new(table.iter(IoClass::CompactionRead))),
+            }
+        }
+        self.merge_entries(
+            inputs,
+            spec.drop_tombstones,
+            spec.split_outputs,
+            spec.smallest_snapshot,
+            next_number,
+        )
+    }
+
+    /// The LDC merge run step (Algorithm 1, `merge`): rewrite a file
+    /// together with all its linked slices. Never split — each LdcMerge
+    /// already covers exactly one responsible range.
+    fn run_ldc_merge(
+        &self,
+        meta: &FileMeta,
+        drop_tombstones: bool,
+        smallest_snapshot: SequenceNumber,
+        next_number: &mut dyn FnMut() -> u64,
+    ) -> Result<UnitOutput> {
+        let mut inputs: Vec<Box<dyn InternalIterator>> = Vec::new();
+        let table = self.table(meta.number)?;
+        inputs.push(Box::new(table.iter(IoClass::CompactionRead)));
+        for slice in &meta.slices {
+            let frozen = self.table(slice.source_file)?;
+            inputs.push(Box::new(
+                frozen.range_iter(slice.range.clone(), IoClass::CompactionRead),
+            ));
+        }
+        self.merge_entries(
+            inputs,
+            drop_tombstones,
+            true,
+            smallest_snapshot,
+            next_number,
+        )
+    }
+
+    /// The merge loop: merge-sorts `inputs`, keeps the newest visible
+    /// version of each user key, and writes output tables cut at the target
+    /// file size when `split_outputs` (only at user-key boundaries, so
+    /// level files never share a user key). Within one key range the
+    /// kept-entry decisions depend only on the input stream and
+    /// `smallest_snapshot` (the shadowing state `last_kept_seq` resets at
+    /// every user-key boundary and file cuts happen only there), which is
+    /// what makes per-range subcompactions exactly equivalent to an
+    /// unsplit merge.
+    fn merge_entries(
+        &self,
+        inputs: Vec<Box<dyn InternalIterator>>,
+        drop_tombstones: bool,
+        split_outputs: bool,
+        smallest_snapshot: SequenceNumber,
+        next_number: &mut dyn FnMut() -> u64,
+    ) -> Result<UnitOutput> {
+        // Versions above `smallest_snapshot` are never dropped: the oldest
+        // live snapshot (or the sequence current at planning time when
+        // none is held) can still observe them.
+        let mut out = UnitOutput::default();
+        let mut merge = MergingIterator::new(inputs);
+        merge.seek_to_first();
+        let mut builder: Option<TableBuilder> = None;
+        let mut last_ukey: Option<Vec<u8>> = None;
+        // Sequence of the last kept entry for the current user key; MAX
+        // means "none kept yet".
+        let mut last_kept_seq = SequenceNumber::MAX;
+        while merge.valid() {
+            let ikey = merge.key();
+            let ukey = user_key(ikey);
+            let changed_ukey = last_ukey.as_deref() != Some(ukey);
+            if changed_ukey {
+                last_ukey = Some(ukey.to_vec());
+                last_kept_seq = SequenceNumber::MAX;
+                // Cut the output file at user-key boundaries.
+                if let Some(b) = builder.take() {
+                    if split_outputs && b.estimated_file_bytes() >= self.options.sstable_bytes {
+                        self.emit_table(
+                            &mut out,
+                            b.finish(),
+                            IoClass::CompactionWrite,
+                            next_number,
+                        )?;
+                    } else {
+                        builder = Some(b);
+                    }
+                }
+            }
+            // LevelDB's snapshot-aware shadowing rule: an entry is dead if
+            // a newer entry for the same user key was already kept at a
+            // sequence every live snapshot can see.
+            let (seq, vt) = parse_trailer(ikey);
+            let shadowed =
+                last_kept_seq != SequenceNumber::MAX && last_kept_seq <= smallest_snapshot;
+            let drop_tombstone = vt == ValueType::Deletion
+                && drop_tombstones
+                && seq <= smallest_snapshot
+                && last_kept_seq == SequenceNumber::MAX;
+            if !shadowed && !drop_tombstone {
+                let b = builder.get_or_insert_with(|| {
+                    TableBuilder::new(
+                        self.options.block_bytes,
+                        self.options.block_restart_interval,
+                        self.options.bloom_bits_per_key,
+                    )
+                });
+                b.add(ikey, merge.value());
+                last_kept_seq = seq;
+            }
+            merge.next();
+        }
+        merge.status()?;
+        if let Some(b) = builder {
+            if !b.is_empty() {
+                self.emit_table(&mut out, b.finish(), IoClass::CompactionWrite, next_number)?;
+            }
+        }
+        Ok(out)
+    }
+
+    /// Writes one finished table under a freshly drawn file number and
+    /// records it (and its write time) in `out`.
+    fn emit_table(
+        &self,
+        out: &mut UnitOutput,
+        finished: crate::table::FinishedTable,
+        class: IoClass,
+        next_number: &mut dyn FnMut() -> u64,
+    ) -> Result<()> {
+        let number = next_number();
+        let t0 = self.device.clock().now();
+        self.write_table(&table_file_name(number), &finished.bytes, class)?;
+        out.write_nanos += self.device.clock().now().saturating_sub(t0);
+        out.metas.push(FileMeta {
+            number,
+            size: finished.bytes.len() as u64,
+            smallest: finished.smallest,
+            largest: finished.largest,
+            slices: Vec::new(),
+        });
         Ok(())
     }
 
-    /// Executes one compaction task.
-    fn execute(&self, core: &mut DbCore, task: CompactionTask) -> Result<()> {
-        let t0 = self.device.clock().now();
-        let fs_before = self.device.ledger().get(TimeCategory::FileSystem);
-        // Input descriptors must be captured before the task consumes the
-        // files they describe.
-        let described = if self.sink.enabled() {
-            Some(self.describe_task(&core.versions.current, &task))
-        } else {
-            None
+    /// Writes a sealed table. With no pool running it is one `write_file`,
+    /// which is what deterministic runs are charged for. With the pool
+    /// running it streams in bounded `append` chunks followed by one
+    /// `sync`: each chunk holds the storage map's write lock only briefly,
+    /// so concurrent foreground reads interleave with background output.
+    /// The file is garbage until the final sync *and* the version edit that
+    /// links it; a torn prefix is an orphan, reclaimed by `repair_db`.
+    fn write_table(&self, name: &str, bytes: &[u8], class: IoClass) -> Result<()> {
+        const CHUNK: usize = 256 << 10;
+        if !self.scheduler.active() {
+            self.storage.write_file(name, bytes, class)?;
+            return Ok(());
+        }
+        // A crashed predecessor may have left an orphan at a re-allocated
+        // number; appending to it would interleave two tables.
+        if self.storage.exists(name) {
+            self.storage.delete(name)?;
+        }
+        for chunk in bytes.chunks(CHUNK) {
+            self.storage.append(name, chunk, class)?;
+            // Hand the CPU to any foreground thread parked on the storage
+            // lock (or starved for a core) between chunks: on oversubscribed
+            // hosts the reader tail is bounded by how long a worker runs
+            // uninterrupted, not by the chunk size alone.
+            std::thread::yield_now();
+        }
+        self.storage.sync(name)?;
+        Ok(())
+    }
+
+    /// Installs a job's run outputs or, when the run or install failed,
+    /// quarantines the corrupt input (the policy then re-plans against the
+    /// surviving version) or latches `bg_error`. Releases the job's claims
+    /// either way. Returns the failure unless it was quarantined.
+    fn finish_job(
+        &self,
+        core: &mut DbCore,
+        job: BgJob,
+        outs: Result<Vec<UnitOutput>>,
+    ) -> Result<()> {
+        let result = outs
+            .and_then(|outs| self.install_job(core, &job, outs))
+            .or_else(|e| self.latch_or_quarantine(core, e));
+        let flush = matches!(job.work, Planned::Flush { .. });
+        self.complete_job(core, job.claim, &job.inputs, flush);
+        result
+    }
+
+    /// The install step, under the core lock: one `VersionEdit`, the
+    /// dropped inputs, the stats counter, the job's `CompactionWork` time
+    /// and exactly one event. A compaction whose inputs vanished mid-run
+    /// (quarantined by a concurrent read) is abandoned; its outputs stay as
+    /// orphans for `repair_db`. Publishing the new view and reaping the
+    /// dropped files are left to the caller's boundary.
+    fn install_job(&self, core: &mut DbCore, job: &BgJob, outs: Vec<UnitOutput>) -> Result<()> {
+        let outputs = |level: usize| -> Vec<(u32, FileMeta)> {
+            outs.iter()
+                .flat_map(|u| &u.metas)
+                .map(|m| (level as u32, m.clone()))
+                .collect()
         };
-        core.trace = ExecTrace::default();
-        let result = match task {
-            CompactionTask::Merge {
+        let mut dropped: Vec<u64> = Vec::new();
+        let (edit, bump): (VersionEdit, fn(&mut DbStats)) = match &job.work {
+            Planned::Flush { log_number, .. } => (
+                VersionEdit {
+                    log_number: *log_number,
+                    new_files: outputs(0),
+                    ..Default::default()
+                },
+                |s| s.flushes += 1,
+            ),
+            Planned::TrivialMove { level, meta } => {
+                (move_edit(*level, meta), |s| s.trivial_moves += 1)
+            }
+            Planned::Link { level, meta } => match link_edit(core, *level, meta) {
+                Some(edit) => (edit, |s| s.links += 1),
+                // Nothing to link against; degenerate to a trivial move.
+                None => (move_edit(*level, meta), |s| s.trivial_moves += 1),
+            },
+            Planned::Merge {
                 level,
                 upper,
                 lower,
-            } => self.execute_merge(core, level, &upper, &lower),
-            CompactionTask::TrivialMove { level, file } => {
-                self.execute_trivial_move(core, level, file)
+                ..
+            } => {
+                if !all_live(core, upper.iter().chain(lower)) {
+                    return Ok(());
+                }
+                let mut edit = VersionEdit {
+                    new_files: outputs(level + 1),
+                    ..Default::default()
+                };
+                for m in upper {
+                    edit.deleted_files.push((*level as u32, m.number));
+                }
+                for m in lower {
+                    edit.deleted_files.push(((*level + 1) as u32, m.number));
+                }
+                if *level >= 1 {
+                    if let Some(hi) = upper.iter().map(|m| m.largest_ukey()).max() {
+                        edit.compact_pointers.push((*level as u32, hi.to_vec()));
+                    }
+                }
+                dropped.extend(upper.iter().chain(lower).map(|m| m.number));
+                (edit, |s| s.merges += 1)
             }
-            CompactionTask::Link { level, file } => self.execute_link(core, level, file),
-            CompactionTask::LdcMerge { level, file } => self.execute_ldc_merge(core, level, file),
-            CompactionTask::TieredMerge { files } => self.execute_tiered_merge(core, &files),
+            Planned::Ldc { level, meta, .. } => {
+                if !all_live(core, std::iter::once(meta)) {
+                    return Ok(());
+                }
+                // Reference counting against the refcounts current at
+                // install: sources whose last live link was on this file
+                // are reclaimed (Algorithm 1, lines 18-22).
+                let mut remaining: HashMap<u64, u32> = HashMap::new();
+                for (number, frozen) in &core.versions.current.frozen {
+                    remaining.insert(*number, frozen.refcount);
+                }
+                let mut reclaimed: Vec<u64> = Vec::new();
+                for slice in &meta.slices {
+                    let count = remaining.get_mut(&slice.source_file).ok_or_else(|| {
+                        Error::InvalidState(format!(
+                            "slice source {} is not frozen",
+                            slice.source_file
+                        ))
+                    })?;
+                    *count = count.saturating_sub(1);
+                    if *count == 0 {
+                        reclaimed.push(slice.source_file);
+                    }
+                }
+                reclaimed.sort_unstable();
+                reclaimed.dedup();
+                dropped.push(meta.number);
+                dropped.extend(&reclaimed);
+                let edit = VersionEdit {
+                    deleted_files: vec![(*level as u32, meta.number)],
+                    new_files: outputs(*level),
+                    deleted_frozen: reclaimed,
+                    ..Default::default()
+                };
+                (edit, |s| s.ldc_merges += 1)
+            }
+            Planned::Tiered { metas, .. } => {
+                if !all_live(core, metas.iter()) {
+                    return Ok(());
+                }
+                dropped.extend(metas.iter().map(|m| m.number));
+                let edit = VersionEdit {
+                    deleted_files: metas.iter().map(|m| (0, m.number)).collect(),
+                    new_files: outputs(0),
+                    ..Default::default()
+                };
+                (edit, |s| s.merges += 1)
+            }
         };
-        self.record_compaction_time(t0, fs_before);
-        if let (Some(desc), Ok(())) = (described, &result) {
-            let end = self.device.clock().now();
-            let elapsed = end - t0;
-            // The in-memory merge does not advance the virtual clock, so
-            // its phase is 0; everything that is not output writing is
-            // input reading (plus metadata, which is negligible).
-            let write = core.trace.write_nanos.min(elapsed);
-            self.sink.record(
-                Event::span(desc.kind, t0, end)
-                    .levels(desc.level, desc.output_level)
-                    .files(desc.input_files, core.trace.output_files)
-                    .bytes(desc.input_bytes, core.trace.output_bytes)
-                    .phases(elapsed - write, 0, write),
-            );
+        core.versions.log_and_apply(edit)?;
+        for n in dropped {
+            self.drop_table_file(core, n);
+        }
+        bump(&mut core.stats);
+        let flushed_wal = match job.work {
+            Planned::Flush { .. } => {
+                core.imm = None;
+                core.imm_wal_to_delete.take()
+            }
+            _ => None,
+        };
+        self.record_compaction_time(job.t0, job.fs_before);
+
+        let end = self.device.clock().now();
+        let write: Nanos = outs.iter().map(|u| u.write_nanos).sum();
+        let files = outs.iter().map(|u| u.metas.len() as u32).sum();
+        let bytes = outs.iter().flat_map(|u| &u.metas).map(|m| m.size).sum();
+        match (&job.work, &job.desc) {
+            (Planned::Flush { mem, .. }, _) if self.sink.enabled() => {
+                let mut ev = Event::span(EventKind::Flush, job.t0, end)
+                    .files(0, files)
+                    .bytes(mem.approximate_bytes() as u64, bytes)
+                    .phases(0, 0, write);
+                ev.output_level = Some(0);
+                self.sink.record(ev);
+            }
+            (_, Some(desc)) => {
+                // The in-memory merge does not advance the virtual clock,
+                // so its phase is 0; everything that is not output writing
+                // is input reading (plus metadata, which is negligible).
+                let elapsed = end.saturating_sub(job.t0);
+                let write = write.min(elapsed);
+                self.sink.record(
+                    Event::span(desc.kind, job.t0, end)
+                        .levels(desc.level, desc.output_level)
+                        .files(desc.input_files, files)
+                        .bytes(desc.input_bytes, bytes)
+                        .phases(elapsed - write, 0, write),
+                );
+            }
+            _ => {}
         }
         self.refresh_level_gauges(&core.versions.current);
-        result
+        if let Some(wal) = flushed_wal {
+            if self.storage.exists(&wal) {
+                self.storage.delete(&wal)?;
+            }
+        }
+        Ok(())
     }
 
     /// What a task is about to do, captured while its inputs still exist.
@@ -3479,512 +3451,161 @@ impl Db {
             elapsed.saturating_sub(fs_delta),
         );
     }
-
-    /// Classic UDC merge of `upper` (at `level`) with `lower` (at `level+1`).
-    fn execute_merge(
-        &self,
-        core: &mut DbCore,
-        level: usize,
-        upper: &[u64],
-        lower: &[u64],
-    ) -> Result<()> {
-        let output_level = level + 1;
-        let mut inputs: Vec<Box<dyn InternalIterator>> = Vec::new();
-        for &number in upper.iter().chain(lower) {
-            let (_, meta) = core
-                .versions
-                .current
-                .find_file(number)
-                .ok_or_else(|| Error::InvalidState(format!("merge input {number} missing")))?;
-            if !meta.slices.is_empty() {
-                return Err(Error::InvalidState(format!(
-                    "merge input {number} carries slice links; use LdcMerge"
-                )));
-            }
-            let table = self.table(number)?;
-            inputs.push(Box::new(table.iter(IoClass::CompactionRead)));
-        }
-        let drop_tombstones = output_level == self.options.max_levels - 1;
-        let outputs = self.merge_to_tables(core, inputs, drop_tombstones)?;
-
-        let mut edit = VersionEdit::default();
-        for &n in upper {
-            edit.deleted_files.push((level as u32, n));
-        }
-        for &n in lower {
-            edit.deleted_files.push(((level + 1) as u32, n));
-        }
-        for meta in &outputs {
-            edit.new_files.push((output_level as u32, meta.clone()));
-        }
-        if level >= 1 {
-            if let Some(hi) = upper
-                .iter()
-                .filter_map(|n| core.versions.current.find_file(*n))
-                .map(|(_, m)| m.largest_ukey().to_vec())
-                .max()
-            {
-                edit.compact_pointers.push((level as u32, hi));
-            }
-        }
-        core.versions.log_and_apply(edit)?;
-        for &n in upper.iter().chain(lower) {
-            self.drop_table_file(core, n);
-        }
-        core.stats.merges += 1;
-        Ok(())
-    }
-
-    /// Metadata-only move of `file` from `level` to `level + 1`.
-    fn execute_trivial_move(&self, core: &mut DbCore, level: usize, file: u64) -> Result<()> {
-        let (found_level, meta) = core
-            .versions
-            .current
-            .find_file(file)
-            .ok_or_else(|| Error::InvalidState(format!("move of missing file {file}")))?;
-        if found_level != level {
-            return Err(Error::InvalidState(format!(
-                "move of file {file}: expected level {level}, found {found_level}"
-            )));
-        }
-        if !meta.slices.is_empty() {
-            return Err(Error::InvalidState(format!(
-                "cannot trivially move file {file} with slice links"
-            )));
-        }
-        let meta = meta.clone();
-        let mut edit = VersionEdit {
-            deleted_files: vec![(level as u32, file)],
-            new_files: vec![((level + 1) as u32, meta.clone())],
-            ..Default::default()
-        };
-        if level >= 1 {
-            edit.compact_pointers
-                .push((level as u32, meta.largest_ukey().to_vec()));
-        }
-        core.versions.log_and_apply(edit)?;
-        core.stats.trivial_moves += 1;
-        Ok(())
-    }
-
-    /// LDC link phase (Algorithm 1, `link`): freeze `file` and attach one
-    /// slice per responsible range of the overlapping `level+1` files.
-    fn execute_link(&self, core: &mut DbCore, level: usize, file: u64) -> Result<()> {
-        let (found_level, meta) = core
-            .versions
-            .current
-            .find_file(file)
-            .ok_or_else(|| Error::InvalidState(format!("link of missing file {file}")))?;
-        if found_level != level {
-            return Err(Error::InvalidState(format!(
-                "link of file {file}: expected level {level}, found {found_level}"
-            )));
-        }
-        if !meta.slices.is_empty() {
-            return Err(Error::InvalidState(format!(
-                "file {file} has slice links and cannot be linked down"
-            )));
-        }
-        let meta = meta.clone();
-        let (lo, hi) = (meta.smallest_ukey().to_vec(), meta.largest_ukey().to_vec());
-        let lower = &core.versions.current.levels[level + 1];
-        if lower.is_empty() {
-            // Nothing to link against; degenerate to a trivial move.
-            return self.execute_trivial_move(core, level, file);
-        }
-        // Responsible ranges partition the key space: file j owns
-        // (prev.largest, largest_j]; first extends to -inf, last to +inf.
-        let mut targets: Vec<(u64, KeyRange)> = Vec::new();
-        for (i, lf) in lower.iter().enumerate() {
-            let range_lo = if i == 0 {
-                Vec::new()
-            } else {
-                successor(lower[i - 1].largest_ukey())
-            };
-            let range_hi = if i + 1 == lower.len() {
-                None
-            } else {
-                Some(successor(lf.largest_ukey()))
-            };
-            let range = KeyRange {
-                lo: range_lo,
-                hi: range_hi,
-            };
-            if range.overlaps(&lo, &hi) {
-                targets.push((lf.number, range));
-            }
-        }
-        debug_assert!(!targets.is_empty(), "partition must cover [lo, hi]");
-        let mut edit = VersionEdit {
-            frozen_files: vec![(level as u32, file)],
-            ..Default::default()
-        };
-        let approx_bytes = meta.size / targets.len().max(1) as u64;
-        for (target, range) in targets {
-            let link_seq = core.versions.new_link_seq();
-            edit.new_links.push((
-                target,
-                SliceLink {
-                    source_file: file,
-                    range,
-                    link_seq,
-                    approx_bytes,
-                },
-            ));
-        }
-        if level >= 1 {
-            edit.compact_pointers.push((level as u32, hi));
-        }
-        core.versions.log_and_apply(edit)?;
-        core.stats.links += 1;
-        Ok(())
-    }
-
-    /// LDC merge phase (Algorithm 1, `merge`): rewrite `file` together with
-    /// all linked slices; outputs stay at `level`; fully consumed frozen
-    /// files are reclaimed.
-    fn execute_ldc_merge(&self, core: &mut DbCore, level: usize, file: u64) -> Result<()> {
-        let (found_level, meta) = core
-            .versions
-            .current
-            .find_file(file)
-            .ok_or_else(|| Error::InvalidState(format!("ldc-merge of missing file {file}")))?;
-        if found_level != level {
-            return Err(Error::InvalidState(format!(
-                "ldc-merge of file {file}: expected level {level}, found {found_level}"
-            )));
-        }
-        let meta = meta.clone();
-        if meta.slices.is_empty() {
-            return Err(Error::InvalidState(format!(
-                "ldc-merge of file {file} with no slices"
-            )));
-        }
-        let mut inputs: Vec<Box<dyn InternalIterator>> = Vec::new();
-        let table = self.table(file)?;
-        inputs.push(Box::new(table.iter(IoClass::CompactionRead)));
-        for slice in &meta.slices {
-            let frozen_table = self.table(slice.source_file)?;
-            inputs.push(Box::new(
-                frozen_table.range_iter(slice.range.clone(), IoClass::CompactionRead),
-            ));
-        }
-        let drop_tombstones = level == self.options.max_levels - 1;
-        let outputs = self.merge_to_tables(core, inputs, drop_tombstones)?;
-
-        let mut edit = VersionEdit {
-            deleted_files: vec![(level as u32, file)],
-            ..Default::default()
-        };
-        for out in &outputs {
-            edit.new_files.push((level as u32, out.clone()));
-        }
-        // Reference counting: sources whose last live link was on this file
-        // are reclaimed (Algorithm 1, lines 18-22).
-        let mut remaining: HashMap<u64, u32> = HashMap::new();
-        for (number, frozen) in &core.versions.current.frozen {
-            remaining.insert(*number, frozen.refcount);
-        }
-        let mut reclaimed: Vec<u64> = Vec::new();
-        for slice in &meta.slices {
-            let count = remaining.get_mut(&slice.source_file).ok_or_else(|| {
-                Error::InvalidState(format!("slice source {} is not frozen", slice.source_file))
-            })?;
-            *count = count.saturating_sub(1);
-            if *count == 0 {
-                reclaimed.push(slice.source_file);
-            }
-        }
-        reclaimed.sort_unstable();
-        reclaimed.dedup();
-        edit.deleted_frozen.clone_from(&reclaimed);
-        core.versions.log_and_apply(edit)?;
-        self.drop_table_file(core, file);
-        for n in reclaimed {
-            self.drop_table_file(core, n);
-        }
-        core.stats.ldc_merges += 1;
-        Ok(())
-    }
-
-    /// Size-tiered merge (lazy baseline): combine several Level-0 runs into
-    /// one bigger Level-0 run. No tombstone dropping (deeper levels may
-    /// hold older versions) and no output splitting (tiers grow).
-    fn execute_tiered_merge(&self, core: &mut DbCore, files: &[u64]) -> Result<()> {
-        let mut inputs: Vec<Box<dyn InternalIterator>> = Vec::new();
-        for &number in files {
-            let (level, meta) = core
-                .versions
-                .current
-                .find_file(number)
-                .ok_or_else(|| Error::InvalidState(format!("tiered input {number} missing")))?;
-            if level != 0 {
-                return Err(Error::InvalidState(format!(
-                    "tiered merge input {number} is at level {level}, not 0"
-                )));
-            }
-            if !meta.slices.is_empty() {
-                return Err(Error::InvalidState(format!(
-                    "tiered merge input {number} carries slice links"
-                )));
-            }
-            let table = self.table(number)?;
-            inputs.push(Box::new(table.iter(IoClass::CompactionRead)));
-        }
-        let outputs = self.merge_stream(core, inputs, false, false)?;
-        let mut edit = VersionEdit::default();
-        for &n in files {
-            edit.deleted_files.push((0, n));
-        }
-        for meta in &outputs {
-            edit.new_files.push((0, meta.clone()));
-        }
-        core.versions.log_and_apply(edit)?;
-        for &n in files {
-            self.drop_table_file(core, n);
-        }
-        core.stats.merges += 1;
-        Ok(())
-    }
-
-    /// Merge-sorts `inputs`, deduplicates by user key (newest wins), and
-    /// writes output tables cut at the target file size (only at user-key
-    /// boundaries, so level files never share a user key).
-    fn merge_to_tables(
-        &self,
-        core: &mut DbCore,
-        inputs: Vec<Box<dyn InternalIterator>>,
-        drop_tombstones: bool,
-    ) -> Result<Vec<FileMeta>> {
-        self.merge_stream(core, inputs, drop_tombstones, true)
-    }
-
-    /// Core merge loop; `split_outputs` controls whether files are cut at
-    /// the target SSTable size (leveled) or grow unbounded (tiered).
-    fn merge_stream(
-        &self,
-        core: &mut DbCore,
-        inputs: Vec<Box<dyn InternalIterator>>,
-        drop_tombstones: bool,
-        split_outputs: bool,
-    ) -> Result<Vec<FileMeta>> {
-        let smallest_snapshot = snapshot_floor(core);
-        let mut outputs = Vec::new();
-        self.merge_entries(
-            inputs,
-            drop_tombstones,
-            split_outputs,
-            smallest_snapshot,
-            &mut |finished| {
-                let meta = self.write_output_table(core, finished)?;
-                outputs.push(meta);
-                Ok(())
-            },
-        )?;
-        Ok(outputs)
-    }
-
-    /// [`Db::merge_stream`] for background workers: no core lock is held
-    /// across the merge; output tables go through a brief core lock for
-    /// the file number, then [`Db::write_table_chunked`].
-    fn merge_stream_detached(
-        &self,
-        inputs: Vec<Box<dyn InternalIterator>>,
-        drop_tombstones: bool,
-        split_outputs: bool,
-        smallest_snapshot: SequenceNumber,
-    ) -> Result<UnitOutput> {
-        let mut out = UnitOutput::default();
-        self.merge_entries(
-            inputs,
-            drop_tombstones,
-            split_outputs,
-            smallest_snapshot,
-            &mut |finished| {
-                let number = self.core.lock().versions.new_file_number();
-                let t0 = self.device.clock().now();
-                self.write_table_chunked(
-                    &table_file_name(number),
-                    &finished.bytes,
-                    IoClass::CompactionWrite,
-                )?;
-                out.write_nanos += self.device.clock().now().saturating_sub(t0);
-                out.output_files += 1;
-                out.output_bytes += finished.bytes.len() as u64;
-                out.metas.push(FileMeta {
-                    number,
-                    size: finished.bytes.len() as u64,
-                    smallest: finished.smallest,
-                    largest: finished.largest,
-                    slices: Vec::new(),
-                });
-                Ok(())
-            },
-        )?;
-        Ok(out)
-    }
-
-    /// The merge loop proper, independent of where outputs land. Within
-    /// one key range the kept-entry decisions depend only on the input
-    /// stream and `smallest_snapshot` (the shadowing state `last_kept_seq`
-    /// resets at every user-key boundary and file cuts happen only there),
-    /// which is what makes per-range subcompactions exactly equivalent to
-    /// an unsplit merge.
-    fn merge_entries(
-        &self,
-        inputs: Vec<Box<dyn InternalIterator>>,
-        drop_tombstones: bool,
-        split_outputs: bool,
-        smallest_snapshot: SequenceNumber,
-        emit: &mut dyn FnMut(crate::table::FinishedTable) -> Result<()>,
-    ) -> Result<()> {
-        // Versions above `smallest_snapshot` are never dropped: the oldest
-        // live snapshot (or the sequence current at planning time when
-        // none is held) can still observe them.
-        let mut merge = MergingIterator::new(inputs);
-        merge.seek_to_first();
-        let mut builder: Option<TableBuilder> = None;
-        let mut last_ukey: Option<Vec<u8>> = None;
-        // Sequence of the last kept entry for the current user key; MAX
-        // means "none kept yet".
-        let mut last_kept_seq = SequenceNumber::MAX;
-        while merge.valid() {
-            let ikey = merge.key();
-            let ukey = user_key(ikey);
-            let changed_ukey = last_ukey.as_deref() != Some(ukey);
-            if changed_ukey {
-                last_ukey = Some(ukey.to_vec());
-                last_kept_seq = SequenceNumber::MAX;
-                // Cut the output file at user-key boundaries.
-                if let Some(b) = builder.take() {
-                    if split_outputs && b.estimated_file_bytes() >= self.options.sstable_bytes {
-                        emit(b.finish())?;
-                    } else {
-                        builder = Some(b);
-                    }
-                }
-            }
-            // LevelDB's snapshot-aware shadowing rule: an entry is dead if
-            // a newer entry for the same user key was already kept at a
-            // sequence every live snapshot can see.
-            let (seq, vt) = parse_trailer(ikey);
-            let shadowed =
-                last_kept_seq != SequenceNumber::MAX && last_kept_seq <= smallest_snapshot;
-            let drop_tombstone = vt == ValueType::Deletion
-                && drop_tombstones
-                && seq <= smallest_snapshot
-                && last_kept_seq == SequenceNumber::MAX;
-            if !shadowed && !drop_tombstone {
-                let b = builder.get_or_insert_with(|| {
-                    TableBuilder::new(
-                        self.options.block_bytes,
-                        self.options.block_restart_interval,
-                        self.options.bloom_bits_per_key,
-                    )
-                });
-                b.add(ikey, merge.value());
-                last_kept_seq = seq;
-            }
-            merge.next();
-        }
-        merge.status()?;
-        if let Some(b) = builder {
-            if !b.is_empty() {
-                emit(b.finish())?;
-            }
-        }
-        Ok(())
-    }
-
-    fn write_output_table(
-        &self,
-        core: &mut DbCore,
-        finished: crate::table::FinishedTable,
-    ) -> Result<FileMeta> {
-        let number = core.versions.new_file_number();
-        let t0 = self.device.clock().now();
-        self.storage.write_file(
-            &table_file_name(number),
-            &finished.bytes,
-            IoClass::CompactionWrite,
-        )?;
-        core.trace.write_nanos += self.device.clock().now() - t0;
-        core.trace.output_files += 1;
-        core.trace.output_bytes += finished.bytes.len() as u64;
-        Ok(FileMeta {
-            number,
-            size: finished.bytes.len() as u64,
-            smallest: finished.smallest,
-            largest: finished.largest,
-            slices: Vec::new(),
-        })
-    }
 }
 
-/// A unit of background work claimed by [`Db::plan_job`] under the core
-/// lock and executed without it.
-enum BgJob {
-    /// Flush the immutable memtable. The memtable stays in `core.imm`
-    /// (readers keep seeing it) until the L0 table installs.
+/// A unit of background work: claimed by [`Db::plan_job`] under the core
+/// lock, run by [`Db::run_job`] without it, and installed by
+/// [`Db::install_job`] under it again.
+struct BgJob {
+    /// Scheduler claim on `inputs` and their key ranges; `None` for
+    /// flushes (guarded by `flush_inflight`) and metadata-only jobs
+    /// (installed before the core is released).
+    claim: Option<u64>,
+    inputs: Vec<u64>,
+    /// Virtual time and `FileSystem` ledger reading at plan time.
+    t0: Nanos,
+    fs_before: Nanos,
+    /// Event descriptor; captured only when a sink is attached.
+    desc: Option<TaskDescriptor>,
+    work: Planned,
+}
+
+/// What a job does, fixed at plan time: the input metadata the install
+/// edits against, plus the run step's merge recipe.
+enum Planned {
+    /// Build a Level-0 table from the immutable memtable `mem`.
     Flush {
-        imm: Arc<MemTable>,
-        wal: Option<String>,
+        mem: Arc<MemTable>,
+        log_number: Option<u64>,
     },
-    /// A claimed compaction with conflict-tracked key ranges.
-    Compact {
-        job: u64,
-        t0: Nanos,
-        desc: Option<TaskDescriptor>,
-        inputs: Vec<u64>,
-        plan: PlannedCompaction,
-    },
-}
-
-/// The run-phase recipe for a claimed compaction: input metadata snapshot
-/// plus the merge spec, fixed at plan time.
-enum PlannedCompaction {
+    /// Metadata-only move of `meta` from `level` to `level + 1`.
+    TrivialMove { level: usize, meta: FileMeta },
+    /// LDC link (Algorithm 1, `link`): freeze `meta` and slice it onto
+    /// the overlapping `level + 1` files.
+    Link { level: usize, meta: FileMeta },
+    /// Classic UDC merge of `upper` (at `level`) with `lower` (at
+    /// `level + 1`).
     Merge {
         level: usize,
         upper: Vec<FileMeta>,
         lower: Vec<FileMeta>,
         spec: Arc<MergeUnitSpec>,
     },
+    /// LDC merge (Algorithm 1, `merge`): rewrite `meta` together with its
+    /// slices; outputs stay at `level`; fully consumed frozen files are
+    /// reclaimed.
     Ldc {
         level: usize,
         meta: FileMeta,
         drop_tombstones: bool,
         smallest_snapshot: SequenceNumber,
     },
+    /// Size-tiered merge (lazy baseline): several Level-0 runs into one
+    /// bigger Level-0 run.
     Tiered {
         metas: Vec<FileMeta>,
         spec: Arc<MergeUnitSpec>,
     },
 }
 
-/// What [`Db::install_compaction`] needs to build the atomic
-/// `VersionEdit` once the run phase produced its outputs.
-enum CompactInstall {
-    Merge {
-        level: usize,
-        upper: Vec<FileMeta>,
-        lower: Vec<FileMeta>,
-    },
-    Ldc {
-        level: usize,
-        meta: FileMeta,
-    },
-    Tiered {
-        metas: Vec<FileMeta>,
-    },
+impl Planned {
+    /// Trivial moves and links only rewrite metadata: their run step is
+    /// empty.
+    fn is_metadata(&self) -> bool {
+        matches!(self, Planned::TrivialMove { .. } | Planned::Link { .. })
+    }
 }
 
-/// Clones the metadata for `numbers` out of the current version; `None`
-/// if any has vanished (a stale pick racing a concurrent install).
-fn resolve_metas(core: &DbCore, numbers: &[u64]) -> Option<Vec<FileMeta>> {
+/// The metadata of compaction input `number`, which the picked task
+/// expects at `level` without slice links (slice-carrying files compact
+/// only through LdcMerge).
+fn plain_input(core: &DbCore, number: u64, level: usize) -> Result<FileMeta> {
+    match core.versions.current.find_file(number) {
+        None => Err(Error::InvalidState(format!(
+            "compaction input {number} missing"
+        ))),
+        Some((found, _)) if found != level => Err(Error::InvalidState(format!(
+            "compaction input {number}: expected level {level}, found {found}"
+        ))),
+        Some((_, meta)) if !meta.slices.is_empty() => Err(Error::InvalidState(format!(
+            "compaction input {number} carries slice links; use LdcMerge"
+        ))),
+        Some((_, meta)) => Ok(meta.clone()),
+    }
+}
+
+/// [`plain_input`] for every file in `numbers`.
+fn plain_inputs(core: &DbCore, numbers: &[u64], level: usize) -> Result<Vec<FileMeta>> {
     numbers
         .iter()
-        .map(|&n| core.versions.current.find_file(n).map(|(_, m)| m.clone()))
+        .map(|&n| plain_input(core, n, level))
         .collect()
+}
+
+/// Whether every file in `metas` is still in the current version.
+fn all_live<'a>(core: &DbCore, mut metas: impl Iterator<Item = &'a FileMeta>) -> bool {
+    metas.all(|m| core.versions.current.find_file(m.number).is_some())
+}
+
+/// The edit of a metadata-only move of `meta` from `level` to `level + 1`.
+fn move_edit(level: usize, meta: &FileMeta) -> VersionEdit {
+    let mut edit = VersionEdit {
+        deleted_files: vec![(level as u32, meta.number)],
+        new_files: vec![((level + 1) as u32, meta.clone())],
+        ..Default::default()
+    };
+    if level >= 1 {
+        edit.compact_pointers
+            .push((level as u32, meta.largest_ukey().to_vec()));
+    }
+    edit
+}
+
+/// The edit of an LDC link (Algorithm 1, `link`): freeze `meta` and attach
+/// one slice per responsible range of the overlapping `level + 1` files.
+/// Responsible ranges partition the key space: file `j` owns
+/// `(prev.largest, largest_j]`, the first extends to -inf and the last to
+/// +inf. `None` when `level + 1` holds no file to link against.
+fn link_edit(core: &mut DbCore, level: usize, meta: &FileMeta) -> Option<VersionEdit> {
+    let (lo, hi) = (meta.smallest_ukey(), meta.largest_ukey());
+    let lower = core.versions.current.levels.get(level + 1)?;
+    if lower.is_empty() {
+        return None;
+    }
+    let mut targets: Vec<(u64, KeyRange)> = Vec::new();
+    let mut prev_largest: Option<&[u8]> = None;
+    for (i, lf) in lower.iter().enumerate() {
+        let range = KeyRange {
+            lo: prev_largest.map(successor).unwrap_or_default(),
+            hi: (i + 1 < lower.len()).then(|| successor(lf.largest_ukey())),
+        };
+        if range.overlaps(lo, hi) {
+            targets.push((lf.number, range));
+        }
+        prev_largest = Some(lf.largest_ukey());
+    }
+    debug_assert!(!targets.is_empty(), "partition must cover [lo, hi]");
+    let mut edit = VersionEdit {
+        frozen_files: vec![(level as u32, meta.number)],
+        ..Default::default()
+    };
+    let approx_bytes = meta.size / targets.len().max(1) as u64;
+    for (target, range) in targets {
+        let link_seq = core.versions.new_link_seq();
+        edit.new_links.push((
+            target,
+            SliceLink {
+                source_file: meta.number,
+                range,
+                link_seq,
+                approx_bytes,
+            },
+        ));
+    }
+    if level >= 1 {
+        edit.compact_pointers.push((level as u32, hi.to_vec()));
+    }
+    Some(edit)
 }
 
 /// The closed user-key span covered by `metas`.
@@ -4441,16 +4062,31 @@ mod tests {
 
     #[test]
     fn virtual_time_advances_with_work() {
-        let db = open_db();
-        let t0 = db.device().clock().now();
-        for i in 0..500u64 {
-            let (k, v) = kv(i);
-            db.put(&k, &v).unwrap();
+        // Inline and pooled runs of the background pipeline both book
+        // compaction work.
+        for workers in [0, 2] {
+            let storage = MemStorage::new(ldc_ssd::SsdDevice::new(SsdConfig::default()));
+            let options = Options {
+                background_workers: workers,
+                ..Options::small_for_tests()
+            };
+            let db = Arc::new(Db::open(storage, options, Box::new(UdcPolicy::new())).unwrap());
+            db.start_workers();
+            let t0 = db.device().clock().now();
+            for i in 0..500u64 {
+                let (k, v) = kv(i);
+                db.put(&k, &v).unwrap();
+            }
+            db.drain_background();
+            db.shutdown_workers();
+            assert!(db.device().clock().now() > t0);
+            let ledger = db.device().ledger();
+            assert!(ledger.get(TimeCategory::ForegroundWrite) > 0);
+            assert!(
+                ledger.get(TimeCategory::CompactionWork) > 0,
+                "no compaction work booked with {workers} workers"
+            );
         }
-        assert!(db.device().clock().now() > t0);
-        let ledger = db.device().ledger();
-        assert!(ledger.get(TimeCategory::ForegroundWrite) > 0);
-        assert!(ledger.get(TimeCategory::CompactionWork) > 0);
     }
 
     #[test]

@@ -1,13 +1,17 @@
 //! Background worker pool for flush and compaction.
 //!
-//! With `Options::background_workers >= 1`, the engine stops executing
-//! background work inline on the write path ([`crate::db::Db`]'s
-//! `pump_background`) and instead signals this scheduler: N dedicated
-//! worker threads plan one job at a time under the core lock, run its
-//! reads/merge/writes without any engine lock held, and install the
-//! result under the core lock as one atomic `VersionEdit`. Large merges
-//! are carved into range-partitioned subcompactions (bounded by
-//! `Options::max_subcompactions`) that idle workers execute in parallel.
+//! Every flush and compaction in [`crate::db::Db`] is one job with three
+//! steps: *plan* (under the core lock: pick and claim), *run* (no engine
+//! lock: build the L0 table or merge the inputs into output tables) and
+//! *install* (under the core lock: one atomic `VersionEdit`, file drops,
+//! stats and one event). The pipeline runs one of two ways. With
+//! `Options::background_workers == 0` the write path's inline pump
+//! (`pump_background`) runs each job on the caller and books its virtual
+//! time on the background lane. With `>= 1` the write path instead
+//! signals this scheduler: N dedicated worker threads plan, run and
+//! install jobs concurrently, and large merges are carved into up to
+//! [`MAX_SUBCOMPACTIONS`] range-partitioned subcompactions that idle
+//! workers execute in parallel.
 //!
 //! # Conflict tracking
 //!
@@ -22,7 +26,8 @@
 //! # Determinism contract
 //!
 //! `background_workers == 0` keeps the pool dormant: the inline pump runs
-//! in the exact pre-pool order and same-seed runs stay byte-identical.
+//! one job at a time on the caller, never splits a merge, and writes each
+//! table with one `write_file`, so same-seed runs stay byte-identical.
 //! With workers, runs promise linearizability, not timing reproducibility
 //! — the same contract as multi-threaded group commit (see the module
 //! docs on `crate::db`).
@@ -50,6 +55,10 @@ use ldc_obs::lockcheck::{Condvar, Mutex};
 use crate::error::Result;
 use crate::types::KeyRange;
 use crate::version::FileMeta;
+
+/// Upper bound on the range-partitioned subcompactions one picked merge
+/// is split into while the worker pool runs.
+pub(crate) const MAX_SUBCOMPACTIONS: usize = 4;
 
 /// A user-key interval claimed at `level` by running job `job`.
 #[derive(Debug, Clone)]
@@ -83,14 +92,14 @@ pub(crate) struct SubUnit {
     pub(crate) range: Option<KeyRange>,
 }
 
-/// What one subcompaction unit produced; merged into the job's single
-/// `VersionEdit` by the coordinating worker.
+/// What one run step (a flush, or one subcompaction unit) produced; the
+/// install folds every unit into the job's single `VersionEdit`.
 #[derive(Debug, Default)]
 pub(crate) struct UnitOutput {
     pub(crate) metas: Vec<FileMeta>,
+    /// Virtual time spent writing the output tables (Table 1's write
+    /// phase).
     pub(crate) write_nanos: u64,
-    pub(crate) output_files: u32,
-    pub(crate) output_bytes: u64,
 }
 
 /// The in-flight split merge (at most one at a time; a second split-able

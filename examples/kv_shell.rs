@@ -110,7 +110,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             }
             ["report"] => print!("{}", db.stats_report()),
             ["levels"] => {
-                let v = db.engine_ref().version();
+                let v = db.engine().version();
                 for level in 0..v.num_levels() {
                     if v.level_files(level) > 0 {
                         println!(

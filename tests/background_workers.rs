@@ -42,8 +42,7 @@ fn value(k: u32, v: u32) -> Vec<u8> {
 fn build(udc: bool, workers: usize, storage: Option<Arc<dyn StorageBackend>>) -> LdcDb {
     let mut b = LdcDb::builder()
         .options(tiny_options())
-        .background_workers(workers)
-        .max_subcompactions(4);
+        .background_workers(workers);
     if udc {
         b = b.udc_baseline();
     }
@@ -89,7 +88,7 @@ fn threaded_smoke(udc: bool) {
         "workload must force compactions: {stats:?}"
     );
     assert_eq!(contents(&db), model);
-    db.engine_ref().version().check_invariants().unwrap();
+    db.engine().version().check_invariants().unwrap();
 }
 
 #[test]
@@ -102,9 +101,9 @@ fn threaded_smoke_ldc() {
     threaded_smoke(false);
 }
 
-/// The subcompaction boundary contract: a store grown with split merges
-/// (workers + max_subcompactions) holds exactly the same logical contents
-/// as one grown inline, where every merge is a single unsplit stream.
+/// The subcompaction boundary contract: a store grown with split merges on
+/// the worker pool holds exactly the same logical contents as one grown
+/// inline, where every merge is a single unsplit stream.
 fn split_matches_unsplit(udc: bool, rounds: u32, keys: u32) {
     let inline_db = build(udc, 0, None);
     let threaded_db = build(udc, 3, None);
@@ -119,12 +118,8 @@ fn split_matches_unsplit(udc: bool, rounds: u32, keys: u32) {
         model,
         "threaded diverged from model"
     );
-    inline_db.engine_ref().version().check_invariants().unwrap();
-    threaded_db
-        .engine_ref()
-        .version()
-        .check_invariants()
-        .unwrap();
+    inline_db.engine().version().check_invariants().unwrap();
+    threaded_db.engine().version().check_invariants().unwrap();
 }
 
 #[test]
@@ -183,7 +178,7 @@ fn checkpoint_races_threaded_compaction() {
     )
     .unwrap();
     let restored = build(false, 0, Some(restored_storage));
-    restored.engine_ref().version().check_invariants().unwrap();
+    restored.engine().version().check_invariants().unwrap();
     for (k, v) in &before {
         assert_eq!(
             restored.get(k).unwrap().as_deref(),
@@ -244,7 +239,7 @@ fn crash_sweep_point(udc: bool, crash_op: u64, seed: u64) {
 
     let repair = repair_db(Arc::clone(&storage), &tiny_options()).unwrap();
     let reopened = build(udc, 0, Some(Arc::clone(&storage)));
-    let version = reopened.engine_ref().version();
+    let version = reopened.engine().version();
     version.check_invariants().unwrap();
 
     // No SSTable may be referenced by two version slots.

@@ -69,7 +69,7 @@ fn reopen_preserves_everything_across_generations() {
         let want: Vec<(Vec<u8>, Vec<u8>)> =
             model.iter().map(|(a, b)| (a.clone(), b.clone())).collect();
         assert_eq!(all, want, "udc={udc}");
-        db.engine_ref().version().check_invariants().unwrap();
+        db.engine().version().check_invariants().unwrap();
     }
 }
 
@@ -99,14 +99,14 @@ fn ldc_frozen_state_reloads_and_keeps_working() {
                 db.put(&key(k), &value(k, round)).unwrap();
             }
         }
-        let v = db.engine_ref().version();
+        let v = db.engine().version();
         assert!(
             v.frozen_files() > 0 || v.total_slice_links() > 0,
             "want live LDC metadata before the crash"
         );
     }
     let db = open(&storage, false);
-    db.engine_ref().version().check_invariants().unwrap();
+    db.engine().version().check_invariants().unwrap();
     for k in (0..500u16).step_by(23) {
         assert_eq!(db.get(&key(k)).unwrap(), Some(value(k, 2)), "key {k}");
     }
@@ -117,7 +117,7 @@ fn ldc_frozen_state_reloads_and_keeps_working() {
     for k in (0..500u16).step_by(41) {
         assert_eq!(db.get(&key(k)).unwrap(), Some(value(k, 9)));
     }
-    db.engine_ref().version().check_invariants().unwrap();
+    db.engine().version().check_invariants().unwrap();
 }
 
 #[test]
@@ -149,10 +149,10 @@ fn policy_can_change_across_restarts() {
                 return;
             }
         }
-        db.engine_ref().version().check_invariants().unwrap();
+        db.engine().version().check_invariants().unwrap();
     }
     let db = open(&storage, false); // back to LDC
-    db.engine_ref().version().check_invariants().unwrap();
+    db.engine().version().check_invariants().unwrap();
     assert!(db.get(&key(3)).unwrap().is_some());
 }
 

@@ -1,7 +1,7 @@
 //! Degraded-mode resilience: detection sweeps, quarantine serving, and
 //! repair model-equivalence.
 //!
-//! Four claims, each tested end to end through the public facade:
+//! Five claims, each tested end to end through the public facade:
 //!
 //! 1. **Detection sweep** — a single flipped bit anywhere in an SSTable is
 //!    either detected (read error / refused open) or masked; no read ever
@@ -14,13 +14,17 @@
 //!    served value was acknowledged by the workload.
 //! 4. **Repair idempotence** (property) — a second `repair_db` pass over
 //!    arbitrary workloads changes nothing.
+//! 5. **Background write failures fail stop** — when a flush or compaction
+//!    cannot write its output, inline or threaded, the error latches, every
+//!    acknowledged write stays readable, and later writes are refused.
 
 use std::collections::BTreeMap;
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
 use proptest::prelude::*;
 
-use ldc::ssd::{IoClass, MemStorage, SsdDevice, StorageBackend};
+use ldc::ssd::{IoClass, MemStorage, SsdDevice, SsdError, SsdResult, StorageBackend};
 use ldc::{repair_db, CorruptionPolicy, LdcDb, Options};
 
 fn tiny_options() -> Options {
@@ -230,7 +234,7 @@ fn repair_recovers_a_damaged_store_to_model_equivalence() {
     }
     assert!(surviving > 0, "repair lost every key");
     // All-to-L0 re-homing must still satisfy the engine's invariants.
-    db.engine_ref().version().check_invariants().unwrap();
+    db.engine().version().check_invariants().unwrap();
     db.verify_integrity().unwrap();
 }
 
@@ -276,4 +280,119 @@ proptest! {
         }
         db.verify_integrity().unwrap();
     }
+}
+
+/// Storage whose flush and compaction output writes fail once armed; the
+/// WAL, manifest and every read keep working.
+struct FailingTableWrites {
+    inner: Arc<MemStorage>,
+    armed: AtomicBool,
+}
+
+impl FailingTableWrites {
+    fn check(&self, name: &str, class: IoClass) -> SsdResult<()> {
+        let table_write = matches!(class, IoClass::FlushWrite | IoClass::CompactionWrite);
+        if table_write && self.armed.load(Ordering::SeqCst) {
+            return Err(SsdError::Io(format!("injected write failure on {name}")));
+        }
+        Ok(())
+    }
+}
+
+impl StorageBackend for FailingTableWrites {
+    fn write_file(&self, name: &str, data: &[u8], class: IoClass) -> SsdResult<()> {
+        self.check(name, class)?;
+        self.inner.write_file(name, data, class)
+    }
+    fn append(&self, name: &str, data: &[u8], class: IoClass) -> SsdResult<()> {
+        self.check(name, class)?;
+        self.inner.append(name, data, class)
+    }
+    fn read(&self, name: &str, offset: u64, len: u64, class: IoClass) -> SsdResult<bytes::Bytes> {
+        self.inner.read(name, offset, len, class)
+    }
+    fn read_sequential(
+        &self,
+        name: &str,
+        offset: u64,
+        len: u64,
+        class: IoClass,
+    ) -> SsdResult<bytes::Bytes> {
+        self.inner.read_sequential(name, offset, len, class)
+    }
+    fn size(&self, name: &str) -> SsdResult<u64> {
+        self.inner.size(name)
+    }
+    fn exists(&self, name: &str) -> bool {
+        self.inner.exists(name)
+    }
+    fn delete(&self, name: &str) -> SsdResult<()> {
+        self.inner.delete(name)
+    }
+    fn rename(&self, from: &str, to: &str) -> SsdResult<()> {
+        self.inner.rename(from, to)
+    }
+    fn sync(&self, name: &str) -> SsdResult<()> {
+        self.inner.sync(name)
+    }
+    fn list(&self) -> Vec<String> {
+        self.inner.list()
+    }
+    fn device(&self) -> Arc<SsdDevice> {
+        self.inner.device()
+    }
+}
+
+/// Claim 5: a background write failure hides no acknowledged write and
+/// latches the store read-only, whether the failing job ran inline or on a worker.
+fn background_failure_fails_stop(workers: usize) {
+    let storage = Arc::new(FailingTableWrites {
+        inner: MemStorage::new(SsdDevice::with_defaults()),
+        armed: AtomicBool::new(false),
+    });
+    let db = LdcDb::builder()
+        .options(tiny_options())
+        .background_workers(workers)
+        .storage(storage.clone())
+        .build()
+        .unwrap();
+    let mut acked: Vec<u64> = Vec::new();
+    for i in 0..400 {
+        db.put(&key(i), &value(i, 0)).unwrap();
+        acked.push(i);
+    }
+    storage.armed.store(true, Ordering::SeqCst);
+    // Inline, the flush still pending on the lane fails inside the first
+    // drain. A threaded pool may have gone idle before the arm, so writes
+    // keep coming until a flush or compaction hits the failure.
+    let mut next = 400;
+    while db.engine().background_error().is_none() {
+        db.drain_background();
+        if db.put(&key(next), &value(next, 0)).is_ok() {
+            acked.push(next);
+        }
+        next += 1;
+        assert!(next < 5_000, "no background write failed");
+    }
+    db.drain_background();
+
+    assert!(db.engine().background_error().is_some());
+    for &i in &acked {
+        assert_eq!(
+            db.get(&key(i)).unwrap(),
+            Some(value(i, 0)),
+            "acknowledged key {i} unreadable after a background failure"
+        );
+    }
+    assert!(db.put(b"after-failure", b"v").is_err());
+}
+
+#[test]
+fn inline_background_failure_fails_stop() {
+    background_failure_fails_stop(0);
+}
+
+#[test]
+fn threaded_background_failure_fails_stop() {
+    background_failure_fails_stop(2);
 }

@@ -77,7 +77,7 @@ fn store_survives_disk_reopen_with_ldc_state() {
     assert!(on_disk.iter().any(|f| f == "CURRENT"));
 
     let db = open(&root, false);
-    db.engine_ref().version().check_invariants().unwrap();
+    db.engine().version().check_invariants().unwrap();
     for i in (0..n).step_by(61) {
         let expect = if i == 7 {
             None
@@ -127,7 +127,7 @@ fn reopen_preserves_everything_across_generations_on_disk() {
             }
         } // each drop is a crash
         let db = open(&root, udc);
-        db.engine_ref().version().check_invariants().unwrap();
+        db.engine().version().check_invariants().unwrap();
         let all = db.scan(b"", usize::MAX).unwrap();
         let want: Vec<(Vec<u8>, Vec<u8>)> =
             model.iter().map(|(a, b)| (a.clone(), b.clone())).collect();

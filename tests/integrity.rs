@@ -25,7 +25,7 @@ fn healthy_store_verifies() {
             .unwrap();
     }
     db.drain_background();
-    let v = db.engine_ref().version();
+    let v = db.engine().version();
     assert!(v.frozen_files() > 0 || v.total_slice_links() > 0 || db.stats().ldc_merges > 0);
     let entries = db.verify_integrity().unwrap();
     // The memtable tail is not on disk yet; everything flushed must verify.

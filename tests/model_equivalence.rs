@@ -94,7 +94,7 @@ fn check_sequence(policy: Policy, ops: &[Op]) {
     let all = db.scan(b"", usize::MAX).expect("final scan");
     let want: Vec<(Vec<u8>, Vec<u8>)> = model.iter().map(|(a, b)| (a.clone(), b.clone())).collect();
     assert_eq!(all, want, "final state diverged");
-    db.engine_ref()
+    db.engine()
         .version()
         .check_invariants()
         .expect("invariants");
