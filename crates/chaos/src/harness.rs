@@ -1165,8 +1165,8 @@ impl ChaosHarness {
     /// to completion and every read verifies against the model.
     ///
     /// `failures` must stay below the engine's
-    /// [`Options::read_retry_attempts`] budget; at or past it, transient
-    /// errors surface and the run reports a [`ChaosFailure`].
+    /// [`ldc_lsm::options::READ_RETRY_ATTEMPTS`] budget; at or past it,
+    /// transient errors surface and the run reports a [`ChaosFailure`].
     pub fn run_transient_reads(&self, failures: u32) -> Result<TransientReadReport, ChaosFailure> {
         let fault = FaultStorage::new(
             MemStorage::new(SsdDevice::with_defaults()),

@@ -24,8 +24,9 @@
 //!   `ldc-lsm` engine;
 //! * [`AdaptiveThreshold`] — workload-driven self-tuning of `T_s` (§III-B4);
 //! * [`model`] — the paper's analytical performance model (§II);
-//! * [`LdcDb`] — a batteries-included store facade over the engine and the
-//!   simulated SSD substrate.
+//! * [`LdcDb`] — the store: a builder that wires the policy, the engine and
+//!   the simulated SSD substrate together, and a handle that dereferences
+//!   to the engine ([`lsm::Db`]).
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]

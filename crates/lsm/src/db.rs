@@ -81,7 +81,10 @@ use crate::compaction::{CompactionPolicy, CompactionTask, PickContext};
 use crate::error::{CorruptionInfo, Error, Result};
 use crate::iterator::{InternalIterator, MergingIterator};
 use crate::memtable::{LookupResult, MemTable};
-use crate::options::{CorruptionPolicy, Options};
+use crate::options::{
+    CorruptionPolicy, Options, BLOCK_RESTART_INTERVAL, MEMTABLE_WRITE_NS, READ_RETRY_ATTEMPTS,
+    READ_RETRY_BACKOFF_NS, SLOWDOWN_DELAY_NS,
+};
 use crate::retry::RetryStorage;
 use crate::scheduler::{
     CompactionScheduler, MergeUnitSpec, SubBatch, SubUnit, UnitOutput, MAX_SUBCOMPACTIONS,
@@ -380,24 +383,17 @@ impl Db {
         // Transient-read retry wraps the backend before anything reads
         // through it, so manifest recovery and WAL replay get the same
         // bounded-retry protection as steady-state reads.
-        let storage: Arc<dyn StorageBackend> = if options.read_retry_attempts > 1 {
-            RetryStorage::new(
-                storage,
-                options.read_retry_attempts,
-                options.read_retry_backoff_ns,
-                options.seed,
-                Arc::clone(&sink),
-                Arc::clone(&metrics),
-            )
-        } else {
-            storage
-        };
+        let storage: Arc<dyn StorageBackend> = RetryStorage::new(
+            storage,
+            READ_RETRY_ATTEMPTS,
+            READ_RETRY_BACKOFF_NS,
+            options.seed,
+            Arc::clone(&sink),
+            Arc::clone(&metrics),
+        );
         let device = storage.device();
         let open_start = device.clock().now();
-        let block_cache = Arc::new(BlockCache::with_shards(
-            options.block_cache_bytes,
-            options.block_cache_shards,
-        ));
+        let block_cache = Arc::new(BlockCache::new(options.block_cache_bytes));
         let tables = TableCache::new(options.table_cache_entries, Arc::clone(&block_cache));
         let existed = VersionSet::exists(storage.as_ref());
         let mut versions = if existed {
@@ -636,19 +632,6 @@ impl Db {
     /// device (Fig 13).
     pub fn block_cache_counters(&self) -> CacheCounters {
         self.block_cache.counters()
-    }
-
-    /// The shared block cache (tests, experiments).
-    pub fn block_cache(&self) -> &Arc<BlockCache> {
-        &self.block_cache
-    }
-
-    /// Routes structured engine events (flush, merge, link, stall, GC, ...)
-    /// to `sink`. The device's GC events follow the same sink. With the
-    /// default [`NoopSink`] no event is ever constructed.
-    pub fn set_event_sink(&mut self, sink: SharedSink) {
-        self.device.set_event_sink(Arc::clone(&sink));
-        self.sink = sink;
     }
 
     /// The engine's metrics registry: per-level gauges plus per-op
@@ -978,11 +961,6 @@ impl Db {
     /// are time-identical.
     pub fn enable_tracing(&mut self, worst_k: usize) {
         self.tracer = Some(Arc::new(TraceReservoir::new(worst_k, self.options.seed)));
-    }
-
-    /// Whether [`Db::enable_tracing`] was called.
-    pub fn tracing_enabled(&self) -> bool {
-        self.tracer.is_some()
     }
 
     /// The worst-latency traces captured so far, grouped by op type in
@@ -1319,20 +1297,14 @@ impl Db {
             && core.versions.current.level_files(0) >= self.options.l0_slowdown_threshold
         {
             let t0 = self.device.clock().now();
-            self.device.clock().advance(self.options.slowdown_delay_ns);
+            self.device.clock().advance(SLOWDOWN_DELAY_NS);
             core.stats.slowdowns += 1;
             if let Some(t) = trace.as_deref_mut() {
-                t.span(
-                    Blame::Slowdown,
-                    "l0_slowdown",
-                    t0,
-                    t0 + self.options.slowdown_delay_ns,
-                );
+                t.span(Blame::Slowdown, "l0_slowdown", t0, t0 + SLOWDOWN_DELAY_NS);
             }
             if self.sink.enabled() {
                 self.sink.record(
-                    Event::span(EventKind::Slowdown, t0, t0 + self.options.slowdown_delay_ns)
-                        .levels(0, 0),
+                    Event::span(EventKind::Slowdown, t0, t0 + SLOWDOWN_DELAY_NS).levels(0, 0),
                 );
             }
         }
@@ -1425,9 +1397,7 @@ impl Db {
                 BatchOp::Delete { key } => core.mem.add(op_seq, ValueType::Deletion, key, b""),
             }
         }
-        self.device
-            .clock()
-            .advance(self.options.memtable_write_ns * count);
+        self.device.clock().advance(MEMTABLE_WRITE_NS * count);
         if let Some(t) = trace.as_deref_mut() {
             t.span(
                 Blame::Memtable,
@@ -1807,10 +1777,10 @@ impl Db {
             // is advanced by the model delay so event spans stay sane.
             let t0 = self.device.clock().now();
             self.scheduler_signal();
-            let dur = Duration::from_nanos(self.options.slowdown_delay_ns.min(1_000_000));
+            let dur = Duration::from_nanos(SLOWDOWN_DELAY_NS.min(1_000_000));
             let (g, _) = core.wait_timeout(&self.scheduler.done_cv, dur);
             core = g;
-            self.device.clock().advance(self.options.slowdown_delay_ns);
+            self.device.clock().advance(SLOWDOWN_DELAY_NS);
             core.stats.slowdowns += 1;
             let end = self.device.clock().now();
             if let Some(t) = trace {
@@ -2128,11 +2098,6 @@ impl Db {
             .map(PinnedValue::into_vec))
     }
 
-    /// Zero-copy point lookup as of a pinned snapshot.
-    pub fn get_pinned_at(&self, key: &[u8], snapshot: &Snapshot) -> Result<Option<PinnedValue>> {
-        self.get_with_seq(key, Some(snapshot.seq))
-    }
-
     /// Range scan as of a pinned snapshot.
     pub fn scan_at(
         &self,
@@ -2143,7 +2108,9 @@ impl Db {
         self.scan_with_seq(start, limit, Some(snapshot.seq))
     }
 
-    /// Point lookup at the latest sequence number.
+    /// Point lookup at the latest sequence number. The value is copied
+    /// out of the engine; use [`Db::get_pinned`] to borrow it zero-copy
+    /// instead.
     pub fn get(&self, key: &[u8]) -> Result<Option<Vec<u8>>> {
         Ok(self.get_with_seq(key, None)?.map(PinnedValue::into_vec))
     }
@@ -2153,6 +2120,19 @@ impl Db {
     /// value. Copy at the boundary that needs an owned buffer.
     pub fn get_pinned(&self, key: &[u8]) -> Result<Option<PinnedValue>> {
         self.get_with_seq(key, None)
+    }
+
+    /// Batched point lookups against **one** pinned snapshot: every key is
+    /// resolved at the same sequence number, so the results are mutually
+    /// consistent even while concurrent writers advance the store (an
+    /// atomically written batch is observed either entirely or not at
+    /// all). Returns one entry per input key, in order.
+    pub fn multi_get(&self, keys: &[&[u8]]) -> Result<Vec<Option<Vec<u8>>>> {
+        let snapshot = self.snapshot();
+        let values = keys.iter().map(|key| self.get_at(key, &snapshot)).collect();
+        // Always unpin, error or not — a leaked snapshot pins files forever.
+        self.release_snapshot(snapshot);
+        values
     }
 
     /// The shared get path. `seq: None` reads at the latest *published*
@@ -2579,12 +2559,6 @@ impl Db {
         self.core.lock().versions.shipping()
     }
 
-    /// Progress of the armed backup stream as `(edits, files, bytes)`
-    /// shipped, or `None` when no stream is armed.
-    pub fn shipper_progress(&self) -> Option<(u64, u64, u64)> {
-        self.core.lock().versions.shipper_stats()
-    }
-
     /// How many backup-stream records this store has applied (nonzero
     /// only on followers / restored backups).
     pub fn replication_cursor(&self) -> u64 {
@@ -2983,7 +2957,7 @@ impl Db {
         }
         let mut builder = TableBuilder::new(
             self.options.block_bytes,
-            self.options.block_restart_interval,
+            BLOCK_RESTART_INTERVAL,
             self.options.bloom_bits_per_key,
         );
         {
@@ -3119,7 +3093,7 @@ impl Db {
                 let b = builder.get_or_insert_with(|| {
                     TableBuilder::new(
                         self.options.block_bytes,
-                        self.options.block_restart_interval,
+                        BLOCK_RESTART_INTERVAL,
                         self.options.bloom_bits_per_key,
                     )
                 });

@@ -39,7 +39,7 @@ use crate::batch::{BatchOp, WriteBatch};
 use crate::cache::BlockCache;
 use crate::error::{corruption, Error, Result};
 use crate::memtable::MemTable;
-use crate::options::Options;
+use crate::options::{Options, BLOCK_RESTART_INTERVAL, READ_RETRY_ATTEMPTS, READ_RETRY_BACKOFF_NS};
 use crate::retry::RetryStorage;
 use crate::table::{Table, TableBuilder};
 use crate::types::{parse_trailer, SequenceNumber, ValueType};
@@ -104,18 +104,14 @@ pub fn repair_db_with_sink(
     options.validate()?;
     let t0 = storage.device().clock().now();
     // The same bounded transient-retry protection the live engine gets.
-    let storage: Arc<dyn StorageBackend> = if options.read_retry_attempts > 1 {
-        RetryStorage::new(
-            storage,
-            options.read_retry_attempts,
-            options.read_retry_backoff_ns,
-            options.seed,
-            Arc::clone(&sink),
-            Arc::new(MetricsRegistry::new()),
-        )
-    } else {
-        storage
-    };
+    let storage: Arc<dyn StorageBackend> = RetryStorage::new(
+        storage,
+        READ_RETRY_ATTEMPTS,
+        READ_RETRY_BACKOFF_NS,
+        options.seed,
+        Arc::clone(&sink),
+        Arc::new(MetricsRegistry::new()),
+    );
     let mut report = RepairReport::default();
 
     // -- 1. Classify the directory listing. ---------------------------
@@ -356,7 +352,7 @@ pub fn repair_db_with_sink(
         next_file += 1;
         let mut builder = TableBuilder::new(
             options.block_bytes,
-            options.block_restart_interval,
+            BLOCK_RESTART_INTERVAL,
             options.bloom_bits_per_key,
         );
         let mut it = mem.iter();

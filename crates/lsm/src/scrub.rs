@@ -56,8 +56,9 @@ impl Db {
     /// filter-vs-key agreement. Live levels are walked top-down, then the
     /// frozen region.
     ///
-    /// Corruption is collected (and, under the quarantine policy,
-    /// quarantined for live files) rather than returned early; only
+    /// Corruption is collected rather than returned early; under
+    /// [`CorruptionPolicy::Quarantine`](crate::CorruptionPolicy::Quarantine)
+    /// corrupt live tables are also quarantined on the spot. Only
     /// non-corruption errors — a device failure that survives the retry
     /// budget — abort the pass.
     pub fn scrub(&self) -> Result<ScrubReport> {
