@@ -124,9 +124,12 @@ fn bench_block(c: &mut Criterion) {
 
 fn bench_crc(c: &mut Criterion) {
     let mut group = c.benchmark_group("crc32c");
-    let data = vec![0xabu8; 4096];
-    group.throughput(Throughput::Bytes(4096));
-    group.bench_function("4kib", |b| b.iter(|| crc32c::crc32c(black_box(&data))));
+    // 1 KiB is the size of a typical WAL record; 4 KiB is a data block.
+    for (name, len) in [("1kib", 1024usize), ("4kib", 4096)] {
+        let data = vec![0xabu8; len];
+        group.throughput(Throughput::Bytes(len as u64));
+        group.bench_function(name, |b| b.iter(|| crc32c::crc32c(black_box(&data))));
+    }
     group.finish();
 }
 

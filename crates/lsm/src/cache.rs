@@ -317,13 +317,25 @@ impl BlockCache {
 
 struct TableEntry {
     table: Arc<Table>,
+    /// Last touch; ticks are unique, so the smallest is the LRU entry.
     tick: u64,
 }
 
 struct TableCacheInner {
     entries: HashMap<u64, TableEntry>,
-    lru: BTreeMap<u64, u64>,
     next_tick: u64,
+}
+
+impl TableCacheInner {
+    /// Returns the handle for `file_number` and marks it most recently
+    /// used, if resident.
+    fn touch(&mut self, file_number: u64) -> Option<Arc<Table>> {
+        let tick = self.next_tick;
+        let entry = self.entries.get_mut(&file_number)?;
+        entry.tick = tick;
+        self.next_tick += 1;
+        Some(Arc::clone(&entry.table))
+    }
 }
 
 /// Entry-bounded LRU cache of open SSTable handles. Replaces the old
@@ -331,6 +343,10 @@ struct TableCacheInner {
 /// resident table's decoded index block and Bloom filter are charged to the
 /// shared [`BlockCache`] budget as pinned bytes, so "open table" memory and
 /// "cached block" memory come out of one pool.
+///
+/// Recency is one tick per entry: a hit (every table probe of every read)
+/// only bumps it, and the least recently used entry is found by a scan
+/// that runs only when an open pushes the cache over capacity.
 pub struct TableCache {
     capacity: usize,
     block_cache: Arc<BlockCache>,
@@ -350,7 +366,6 @@ impl TableCache {
                 "lsm/cache::map",
                 TableCacheInner {
                     entries: HashMap::new(),
-                    lru: BTreeMap::new(),
                     next_tick: 0,
                 },
             ),
@@ -365,35 +380,23 @@ impl TableCache {
         file_number: u64,
         open: impl FnOnce() -> Result<Arc<Table>>,
     ) -> Result<Arc<Table>> {
-        {
+        let hit = {
             let mut inner = self.map.lock();
-            let tick = inner.next_tick;
-            if let Some(entry) = inner.entries.get_mut(&file_number) {
-                let old_tick = entry.tick;
-                entry.tick = tick;
-                let table = Arc::clone(&entry.table);
-                inner.next_tick += 1;
-                inner.lru.remove(&old_tick);
-                inner.lru.insert(tick, file_number);
-                self.hits.fetch_add(1, Ordering::Relaxed);
-                return Ok(table);
-            }
+            inner.touch(file_number)
+        };
+        if let Some(table) = hit {
+            self.hits.fetch_add(1, Ordering::Relaxed);
+            return Ok(table);
         }
         self.misses.fetch_add(1, Ordering::Relaxed);
         // Open outside the map lock (footer/index/filter reads hit the
         // device). Two racing opens resolve to whichever inserted first.
         let table = open()?;
         let mut inner = self.map.lock();
-        let tick = inner.next_tick;
-        if let Some(entry) = inner.entries.get_mut(&file_number) {
-            let old_tick = entry.tick;
-            entry.tick = tick;
-            let existing = Arc::clone(&entry.table);
-            inner.next_tick += 1;
-            inner.lru.remove(&old_tick);
-            inner.lru.insert(tick, file_number);
+        if let Some(existing) = inner.touch(file_number) {
             return Ok(existing);
         }
+        let tick = inner.next_tick;
         inner.next_tick += 1;
         self.block_cache
             .charge_pinned(file_number, table.pinned_bytes());
@@ -404,15 +407,18 @@ impl TableCache {
                 tick,
             },
         );
-        inner.lru.insert(tick, file_number);
         while inner.entries.len() > self.capacity {
-            let Some((&oldest_tick, &oldest_file)) = inner.lru.iter().next() else {
+            let Some(victim) = inner
+                .entries
+                .iter()
+                .min_by_key(|(_, e)| e.tick)
+                .map(|(&file, _)| file)
+            else {
                 break;
             };
-            inner.lru.remove(&oldest_tick);
-            if let Some(e) = inner.entries.remove(&oldest_file) {
+            if let Some(e) = inner.entries.remove(&victim) {
                 self.block_cache
-                    .release_pinned(oldest_file, e.table.pinned_bytes());
+                    .release_pinned(victim, e.table.pinned_bytes());
             }
         }
         Ok(table)
@@ -423,7 +429,6 @@ impl TableCache {
     pub fn remove(&self, file_number: u64) {
         let mut inner = self.map.lock();
         if let Some(e) = inner.entries.remove(&file_number) {
-            inner.lru.remove(&e.tick);
             self.block_cache
                 .release_pinned(file_number, e.table.pinned_bytes());
         }
@@ -612,5 +617,59 @@ mod tests {
         assert_eq!(cache.pinned_bytes(), 1800);
         cache.release_pinned(9, 1800);
         assert_eq!(cache.pinned_bytes(), 0);
+    }
+
+    #[test]
+    fn table_cache_evicts_least_recently_touched() {
+        use crate::table::TableBuilder;
+        use ldc_ssd::{IoClass, MemStorage, SsdConfig, SsdDevice, StorageBackend};
+
+        let storage = MemStorage::new(SsdDevice::new(SsdConfig::tiny_for_tests()));
+        let block_cache = Arc::new(BlockCache::new(1 << 20));
+        for file in 1..=4u64 {
+            let mut b = TableBuilder::new(512, 4, 10);
+            b.add(&encode_internal_key(b"k", file, ValueType::Value), b"v");
+            storage
+                .write_file(
+                    &format!("{file}.sst"),
+                    &b.finish().bytes,
+                    IoClass::FlushWrite,
+                )
+                .unwrap();
+        }
+        let tables = TableCache::new(3, Arc::clone(&block_cache));
+        let open = |file: u64| {
+            let storage: Arc<dyn StorageBackend> = storage.clone();
+            let block_cache = Arc::clone(&block_cache);
+            move || Table::open(storage, format!("{file}.sst"), file, block_cache)
+        };
+        for file in 1..=3 {
+            tables.get_or_open(file, open(file)).unwrap();
+        }
+        // Touch 1 then 2: insertion order alone would evict 1, touch
+        // order makes 3 the least recently used.
+        tables.get_or_open(1, || panic!("1 is resident")).unwrap();
+        tables.get_or_open(2, || panic!("2 is resident")).unwrap();
+        tables.get_or_open(4, open(4)).unwrap();
+        assert_eq!(tables.len(), 3);
+        assert_eq!((tables.hits(), tables.misses()), (2, 4));
+        for file in [1, 2, 4] {
+            tables
+                .get_or_open(file, || panic!("{file} was evicted"))
+                .unwrap();
+        }
+        tables.get_or_open(3, open(3)).unwrap();
+        assert_eq!(tables.misses(), 5, "3 must have been the victim");
+        // Every resident handle is charged once; evicted ones released.
+        let pinned: usize = [2, 3, 4]
+            .map(|f| {
+                tables
+                    .get_or_open(f, || panic!("{f} resident"))
+                    .unwrap()
+                    .pinned_bytes()
+            })
+            .iter()
+            .sum();
+        assert_eq!(block_cache.pinned_bytes(), pinned);
     }
 }

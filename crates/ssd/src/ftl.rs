@@ -18,6 +18,48 @@ use crate::config::SsdConfig;
 
 const UNMAPPED: u64 = u64::MAX;
 
+/// Entries per lazily allocated [`PageMap`] chunk (32 KiB of `u64`s).
+const CHUNK_ENTRIES: u64 = 4096;
+
+/// A `u64` map over page numbers `0..len`, every entry [`UNMAPPED`] until
+/// written. Storage comes in chunks of [`CHUNK_ENTRIES`] allocated by the
+/// first write that lands in them, so a map costs memory in proportion to
+/// the pages the device has seen rather than to its capacity (the two maps
+/// of the default 8 GiB device would fill ~34 MiB on every store open).
+#[derive(Debug)]
+struct PageMap {
+    len: u64,
+    chunks: Vec<Option<Box<[u64]>>>,
+}
+
+impl PageMap {
+    fn new(len: u64) -> Self {
+        Self {
+            len,
+            chunks: (0..len.div_ceil(CHUNK_ENTRIES)).map(|_| None).collect(),
+        }
+    }
+
+    fn get(&self, page: u64) -> u64 {
+        match &self.chunks[(page / CHUNK_ENTRIES) as usize] {
+            Some(chunk) => chunk[(page % CHUNK_ENTRIES) as usize],
+            None => UNMAPPED,
+        }
+    }
+
+    fn set(&mut self, page: u64, value: u64) {
+        let chunk = self.chunks[(page / CHUNK_ENTRIES) as usize]
+            .get_or_insert_with(|| vec![UNMAPPED; CHUNK_ENTRIES as usize].into_boxed_slice());
+        chunk[(page % CHUNK_ENTRIES) as usize] = value;
+    }
+
+    /// Chunks allocated so far.
+    #[cfg(test)]
+    fn allocated_chunks(&self) -> usize {
+        self.chunks.iter().filter(|c| c.is_some()).count()
+    }
+}
+
 /// Block lifecycle states.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum BlockState {
@@ -82,9 +124,9 @@ pub struct Ftl {
     pages_per_block: u64,
     gc_threshold: usize,
     /// logical page -> physical page (`UNMAPPED` if absent).
-    page_map: Vec<u64>,
+    page_map: PageMap,
     /// physical page -> logical page (`UNMAPPED` if invalid).
-    rev_map: Vec<u64>,
+    rev_map: PageMap,
     blocks: Vec<BlockInfo>,
     free_blocks: Vec<u64>,
     open_block: u64,
@@ -94,9 +136,7 @@ pub struct Ftl {
 impl Ftl {
     /// Builds an FTL with the geometry described by `cfg`.
     pub fn new(cfg: &SsdConfig) -> Self {
-        let logical_pages = cfg.logical_pages() as usize;
         let physical_blocks = cfg.physical_blocks();
-        let physical_pages = (physical_blocks * cfg.pages_per_block) as usize;
         let blocks = vec![
             BlockInfo {
                 state: BlockState::Free,
@@ -112,8 +152,8 @@ impl Ftl {
         let mut ftl = Self {
             pages_per_block: cfg.pages_per_block,
             gc_threshold: cfg.gc_free_block_threshold.max(1),
-            page_map: vec![UNMAPPED; logical_pages],
-            rev_map: vec![UNMAPPED; physical_pages],
+            page_map: PageMap::new(cfg.logical_pages()),
+            rev_map: PageMap::new(physical_blocks * cfg.pages_per_block),
             blocks,
             free_blocks,
             open_block,
@@ -125,7 +165,7 @@ impl Ftl {
 
     /// Number of logical pages the FTL can map.
     pub fn logical_pages(&self) -> u64 {
-        self.page_map.len() as u64
+        self.page_map.len
     }
 
     /// Counter snapshot.
@@ -154,7 +194,7 @@ impl Ftl {
     /// Returns the relocation/erase work triggered, so the device can charge
     /// the corresponding virtual time.
     pub fn write_page(&mut self, lpn: u64) -> WriteOutcome {
-        debug_assert!((lpn as usize) < self.page_map.len(), "lpn out of range");
+        debug_assert!(lpn < self.page_map.len, "lpn out of range");
         let mut outcome = WriteOutcome::default();
         self.invalidate(lpn);
         self.program(lpn, &mut outcome);
@@ -171,12 +211,12 @@ impl Ftl {
     }
 
     fn invalidate(&mut self, lpn: u64) -> bool {
-        let ppn = self.page_map[lpn as usize];
+        let ppn = self.page_map.get(lpn);
         if ppn == UNMAPPED {
             return false;
         }
-        self.page_map[lpn as usize] = UNMAPPED;
-        self.rev_map[ppn as usize] = UNMAPPED;
+        self.page_map.set(lpn, UNMAPPED);
+        self.rev_map.set(ppn, UNMAPPED);
         let block = (ppn / self.pages_per_block) as usize;
         debug_assert!(self.blocks[block].valid > 0);
         self.blocks[block].valid -= 1;
@@ -193,8 +233,8 @@ impl Ftl {
         let ppn = block_id * self.pages_per_block + block.write_ptr;
         block.write_ptr += 1;
         block.valid += 1;
-        self.page_map[lpn as usize] = ppn;
-        self.rev_map[ppn as usize] = lpn;
+        self.page_map.set(lpn, ppn);
+        self.rev_map.set(ppn, lpn);
         if block.write_ptr == self.pages_per_block {
             block.state = BlockState::Full;
             self.rotate_open_block(outcome);
@@ -238,12 +278,12 @@ impl Ftl {
         let base = victim * self.pages_per_block;
         for offset in 0..self.pages_per_block {
             let ppn = base + offset;
-            let lpn = self.rev_map[ppn as usize];
+            let lpn = self.rev_map.get(ppn);
             if lpn != UNMAPPED {
                 // Invalidate in place, then program elsewhere.
-                self.rev_map[ppn as usize] = UNMAPPED;
+                self.rev_map.set(ppn, UNMAPPED);
                 self.blocks[victim as usize].valid -= 1;
-                self.page_map[lpn as usize] = UNMAPPED;
+                self.page_map.set(lpn, UNMAPPED);
                 self.program(lpn, outcome);
                 self.stats.gc_pages_relocated += 1;
                 outcome.relocated_pages += 1;
@@ -365,12 +405,37 @@ mod tests {
         assert_eq!(ftl.live_pages(), logical);
         // Every logical page must still be mapped to a unique physical page.
         let mut seen = std::collections::HashSet::new();
-        for lpn in 0..logical as usize {
-            let ppn = ftl.page_map[lpn];
+        for lpn in 0..logical {
+            let ppn = ftl.page_map.get(lpn);
             assert_ne!(ppn, UNMAPPED, "lpn {lpn} lost its mapping");
             assert!(seen.insert(ppn), "ppn {ppn} mapped twice");
-            assert_eq!(ftl.rev_map[ppn as usize], lpn as u64);
+            assert_eq!(ftl.rev_map.get(ppn), lpn);
         }
+    }
+
+    #[test]
+    fn maps_grow_with_written_pages_not_capacity() {
+        let cfg = SsdConfig::default();
+        let mut ftl = Ftl::new(&cfg);
+        assert_eq!(ftl.page_map.allocated_chunks(), 0);
+        assert_eq!(ftl.rev_map.allocated_chunks(), 0);
+        let written = 10_000;
+        for lpn in 0..written {
+            ftl.write_page(lpn);
+        }
+        // Sequential writes fill physical pages in order too, so each map
+        // holds ceil(10_000 / 4096) = 3 chunks.
+        let needed = written.div_ceil(CHUNK_ENTRIES) as usize;
+        assert_eq!(ftl.page_map.allocated_chunks(), needed);
+        assert_eq!(ftl.rev_map.allocated_chunks(), needed);
+        // A capacity-sized map would hold 512 logical chunks.
+        assert_eq!(ftl.page_map.chunks.len(), 512);
+        assert_eq!(ftl.logical_pages(), cfg.logical_pages());
+        // Unwritten pages read as unmapped; trimming one allocates nothing.
+        assert_eq!(ftl.page_map.get(cfg.logical_pages() - 1), UNMAPPED);
+        ftl.trim_page(cfg.logical_pages() - 1);
+        assert_eq!(ftl.page_map.allocated_chunks(), needed);
+        assert_eq!(ftl.live_pages(), written);
     }
 
     #[test]
